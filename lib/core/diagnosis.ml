@@ -42,25 +42,15 @@ let build_def_table m =
       | None -> ());
   tbl
 
-(* One-entry cache keyed by physical module identity: the fleet collector
-   re-diagnoses the same bucket module repeatedly, and the def table is a
-   pure function of the module, so rebuilding it per resolve_anchor call
-   was wasted work.  Physical equality keeps a rebuilt (isomorphic but
-   fresh) module from ever seeing another build's instruction objects.
-   Domain-local so parallel sweeps and shard workers each memoize their
-   own table instead of racing on a shared slot. *)
-let def_table_cache :
-    (Lir.Irmod.t * (int, Lir.Instr.t) Hashtbl.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* One entry per domain: the fleet collector re-diagnoses the same
+   bucket module repeatedly, and the def table is a pure function of the
+   module, so rebuilding it per resolve_anchor call was wasted work.
+   Keyed by physical module identity, so a rebuilt (isomorphic but fresh)
+   module never sees another build's instruction objects. *)
+let def_table_cache : (int, Lir.Instr.t) Hashtbl.t Lir.Module_cache.t =
+  Lir.Module_cache.create ~slots:1
 
-let def_table m =
-  let slot = Domain.DLS.get def_table_cache in
-  match !slot with
-  | Some (m', tbl) when m' == m -> tbl
-  | Some _ | None ->
-    let tbl = build_def_table m in
-    slot := Some (m, tbl);
-    tbl
+let def_table m = Lir.Module_cache.find_or_build def_table_cache m build_def_table
 
 (* RETracer-style provenance: follow the faulting pointer value back
    through geps/casts/arithmetic to the load that produced it — that load

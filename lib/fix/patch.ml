@@ -356,8 +356,8 @@ let synthesize ~m ~(pattern : Core.Patterns.t) template =
       let mutex = Lir.Rewrite.fresh_global m ~base:"__fix_mutex" Lir.Ty.I64 in
       let flag = Lir.Rewrite.fresh_global m ~base:"__fix_done" Lir.Ty.I64 in
       let cond = Lir.Rewrite.fresh_global m ~base:"__fix_cond" Lir.Ty.I64 in
-      let* _, _, _ = locate_checked m anchor_iid in
-      let anchor_instr = Lir.Irmod.instr_by_iid m anchor_iid in
+      let* _, anchor_block, at = locate_checked m anchor_iid in
+      let anchor_instr = List.nth anchor_block.Lir.Block.instrs at in
       let* () =
         if Lir.Instr.is_terminator anchor_instr then
           Error "anchor is a terminator"

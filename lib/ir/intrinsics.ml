@@ -37,6 +37,12 @@ let table =
     (rand, { arg_count = 1; ret = Ty.I64 });
   ]
 
-let lookup name = List.assoc_opt name table
-let is_intrinsic name = List.mem_assoc name table
+(* Read-only after initialization, so domains may share it. *)
+let index =
+  let h = Hashtbl.create 32 in
+  List.iter (fun (name, sg) -> Hashtbl.replace h name sg) table;
+  h
+
+let lookup name = Hashtbl.find_opt index name
+let is_intrinsic name = Hashtbl.mem index name
 let all = List.map fst table

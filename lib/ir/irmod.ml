@@ -37,6 +37,7 @@ let declare_struct t sname fields =
   if Hashtbl.mem t.structs sname then
     invalid_arg ("Irmod.declare_struct: duplicate " ^ sname);
   Hashtbl.add t.structs sname fields;
+  t.laid_out <- false;
   Ty.Struct sname
 
 let struct_fields t sname = Hashtbl.find t.structs sname
@@ -44,7 +45,8 @@ let struct_fields t sname = Hashtbl.find t.structs sname
 let declare_global t gname ty =
   if Hashtbl.mem t.globals gname then
     invalid_arg ("Irmod.declare_global: duplicate " ^ gname);
-  Hashtbl.add t.globals gname ty
+  Hashtbl.add t.globals gname ty;
+  t.laid_out <- false
 
 let global_ty t gname = Hashtbl.find t.globals gname
 let iter_globals t f = Hashtbl.iter f t.globals
@@ -76,11 +78,13 @@ let fresh_reg t ~name ~ty =
    as functions grow. *)
 let layout t =
   if not t.laid_out then begin
-    Hashtbl.reset t.by_iid;
-    Hashtbl.reset t.by_pc;
-    Hashtbl.reset t.block_pcs;
-    Hashtbl.reset t.pc_blocks;
-    Hashtbl.reset t.iid_locs;
+    (* [clear], not [reset]: a relayout refills tables of the same size,
+       so they keep their buckets. *)
+    Hashtbl.clear t.by_iid;
+    Hashtbl.clear t.by_pc;
+    Hashtbl.clear t.block_pcs;
+    Hashtbl.clear t.pc_blocks;
+    Hashtbl.clear t.iid_locs;
     let pc = ref 0x1000 in
     let visit_func f =
       pc := (!pc + 0xfff) land lnot 0xfff;

@@ -22,7 +22,10 @@ val struct_fields : t -> string -> Ty.t list
 (** Raises [Not_found] on unknown structs. *)
 
 val declare_global : t -> string -> Ty.t -> unit
-(** A zero-initialized module global of the given type. *)
+(** A zero-initialized module global of the given type.  Like a struct
+    declaration, it marks the layout stale: structures derived from a
+    laid-out module (the simulator's run image) bake in global addresses
+    and type sizes. *)
 
 val global_ty : t -> string -> Ty.t
 val iter_globals : t -> (string -> Ty.t -> unit) -> unit

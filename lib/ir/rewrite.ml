@@ -4,13 +4,30 @@
    ground truth and failure signatures all key on iids).  Every mutator
    invalidates the module layout; pcs and lookup tables rebuild lazily. *)
 
+(* A scan of the current bodies, not [Irmod.location_of_iid]: every edit
+   leaves the layout stale, and a lookup through it would rebuild the
+   whole layout once per edit. *)
 let locate m ~iid =
-  let f, b = Irmod.location_of_iid m iid in
-  let rec idx n = function
-    | [] -> invalid_arg "Rewrite.locate: iid not in its located block"
-    | (i : Instr.t) :: rest -> if i.Instr.iid = iid then n else idx (n + 1) rest
+  let rec in_block (b : Block.t) n = function
+    | [] -> None
+    | (i : Instr.t) :: rest ->
+      if i.Instr.iid = iid then Some (b, n) else in_block b (n + 1) rest
   in
-  (f, b, idx 0 b.Block.instrs)
+  let rec in_blocks = function
+    | [] -> None
+    | (b : Block.t) :: rest -> (
+      match in_block b 0 b.Block.instrs with
+      | Some _ as hit -> hit
+      | None -> in_blocks rest)
+  in
+  let rec in_funcs = function
+    | [] -> raise Not_found
+    | (f : Func.t) :: rest -> (
+      match in_blocks f.Func.blocks with
+      | Some (b, n) -> (f, b, n)
+      | None -> in_funcs rest)
+  in
+  in_funcs (Irmod.funcs m)
 
 let mint m kinds =
   List.map (fun k -> Instr.make ~iid:(Irmod.fresh_iid m) k) kinds

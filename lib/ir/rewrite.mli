@@ -9,7 +9,9 @@
     use. *)
 
 val locate : Irmod.t -> iid:int -> Func.t * Block.t * int
-(** Enclosing function, block and in-block index of an instruction. *)
+(** Enclosing function, block and in-block index of an instruction.
+    Reads the current bodies and never forces a relayout.  Raises
+    [Not_found] for an iid the module does not contain. *)
 
 val insert_before : Irmod.t -> iid:int -> Instr.kind list -> Instr.t list
 (** Splice new instructions (minted with fresh iids, in order)

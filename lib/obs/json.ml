@@ -26,12 +26,15 @@ let escape buf s =
   Buffer.add_char buf '"'
 
 (* Shortest decimal form that parses back to the same double, so a
-   print/parse round trip is the identity on every finite float. *)
+   print/parse round trip is the identity on every finite float.  An
+   integral value keeps a fraction ("3.0"): printed bare it would parse
+   back as an [Int]. *)
 let float_repr f =
   if not (Float.is_finite f) then invalid_arg "Json: non-finite float"
   else
     let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"

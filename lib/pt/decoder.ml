@@ -103,23 +103,13 @@ let build_walk_table m =
         set op_straight);
   t
 
-(* One-entry cache keyed on module identity + layout generation, held in
-   domain-local storage: decodes of one batch all target the same module,
-   and giving each domain its own slot removes the lookup mutex the old
-   shared cache needed — a worker builds the table once per (domain,
-   module) from the read-only post-layout module and then hits every
-   time.  [prepare] still warms the submitting domain's slot. *)
-let table_cache : (Lir.Irmod.t * int * walk_table) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* One entry per domain (decodes of one batch all target the same
+   module), so a worker builds the table once per (domain, module) from
+   the read-only post-layout module and then hits every time; [prepare]
+   still warms the submitting domain's entry. *)
+let table_cache : walk_table Lir.Module_cache.t = Lir.Module_cache.create ~slots:1
 
-let walk_table m =
-  let slot = Domain.DLS.get table_cache in
-  match !slot with
-  | Some (m', gen, t) when m' == m && gen = Lir.Irmod.generation m -> t
-  | _ ->
-    let t = build_walk_table m in
-    slot := Some (m, Lir.Irmod.generation m, t);
-    t
+let walk_table m = Lir.Module_cache.find_or_build table_cache m build_walk_table
 
 let prepare m =
   Lir.Irmod.layout m;

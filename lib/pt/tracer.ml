@@ -191,7 +191,7 @@ let on_control t ~time event =
   | Sim.Hooks.Thread_exit _ -> ());
   let produced = Buffer.length t.scratch in
   if produced > 0 then begin
-    Ringbuf.write_bytes ts.ring (Buffer.to_bytes t.scratch);
+    Ringbuf.write_buffer ts.ring t.scratch;
     t.bytes_written <- t.bytes_written + produced
   end;
   ts.bytes_since_psb <- ts.bytes_since_psb + !charged;
@@ -209,7 +209,7 @@ let snapshot t =
         Buffer.clear t.scratch;
         flush_pending t ts;
         let n = Buffer.length t.scratch in
-        Ringbuf.write_bytes ts.ring (Buffer.to_bytes t.scratch);
+        Ringbuf.write_buffer ts.ring t.scratch;
         t.bytes_written <- t.bytes_written + n
       end)
     t.threads;

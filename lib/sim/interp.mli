@@ -6,7 +6,12 @@
     time base — the simulator analogue of the invariant TSC the paper's
     measurements depend on (§3.2).  Per-instruction costs carry seeded
     jitter so repeated runs interleave differently while staying
-    reproducible from the seed. *)
+    reproducible from the seed.
+
+    Runs execute the module's {!Image}, lowered once per module and
+    layout generation, so a run pays only for its own state: registers
+    in flat slot arrays and a binary heap of runnable threads keyed on
+    (clock, tid). *)
 
 type outcome =
   | Completed
@@ -35,6 +40,6 @@ val default_config : config
 
 val run : ?config:config -> Lir.Irmod.t -> entry:string -> run_result
 (** Executes [entry] (a nullary or unary function; a unary entry receives
-    0) to completion.  The module is laid out and globals are allocated
-    first.  Host-level exceptions ([Failure]) indicate corpus-program bugs
+    0) to completion.  The module is laid out (and its image built, on
+    first use) before the run starts.  Host-level exceptions ([Failure]) indicate corpus-program bugs
     such as unlocking an unheld mutex, not simulated failures. *)

@@ -14,61 +14,81 @@ let stack_size = 0x10_0000
 
 type access_error = Null | Freed | Unmapped
 
+exception Fault of access_error
+
+(* Address-keyed tables.  Addresses are 8-aligned, so the low bits carry
+   no information; the high bits tell the regions and threads apart. *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash a = (a lsr 3) lxor (a lsr 20)
+end)
+
+type globals = { addrs : (string, int) Hashtbl.t; top : int }
+
 type t = {
-  cells : (int, int) Hashtbl.t;
-  globals : (string, int) Hashtbl.t;
-  mutable globals_top : int;
+  cells : int Addr_tbl.t;
+  globals : globals; (* shared, never written after layout *)
   mutable heap_top : int;
-  live_heap : (int, int) Hashtbl.t; (* base -> size *)
+  live_heap : int Addr_tbl.t; (* base -> size *)
   mutable freed : (int * int) list; (* (base, size), most recent first *)
   stack_tops : (int, int) Hashtbl.t; (* tid -> next free stack addr *)
 }
 
-let create () =
+(* Small initial tables: a simulated run touches a few dozen cells, and a
+   table of more than 256 buckets would be allocated on the major heap
+   for every run.  Nothing iterates these tables, so their sizing cannot
+   change a result. *)
+let create globals =
   {
-    cells = Hashtbl.create 1024;
-    globals = Hashtbl.create 32;
-    globals_top = globals_base;
+    cells = Addr_tbl.create 32;
+    globals;
     heap_top = heap_base;
-    live_heap = Hashtbl.create 64;
+    live_heap = Addr_tbl.create 8;
     freed = [];
-    stack_tops = Hashtbl.create 16;
+    stack_tops = Hashtbl.create 8;
   }
 
 let align8 n = (n + 7) land lnot 7
 
-let load_globals t m =
+(* Addresses follow [Irmod.iter_globals] order — the module's global
+   table order — so the layout is a function of the module alone. *)
+let layout_globals m =
+  let addrs = Hashtbl.create 32 in
+  let top = ref globals_base in
   Lir.Irmod.iter_globals m (fun name ty ->
       let size = align8 (max 8 (Lir.Irmod.size_of m ty)) in
-      Hashtbl.replace t.globals name t.globals_top;
-      t.globals_top <- t.globals_top + size)
+      Hashtbl.replace addrs name !top;
+      top := !top + size);
+  { addrs; top = !top }
 
-let global_addr t name = Hashtbl.find t.globals name
+let global_addr g name = Hashtbl.find g.addrs name
 
 let alloc_heap t ~size =
   let base = t.heap_top in
   t.heap_top <- t.heap_top + align8 (max 8 size);
-  Hashtbl.replace t.live_heap base size;
+  Addr_tbl.replace t.live_heap base size;
   (* Re-allocation of a previously freed base is impossible (bump allocator),
      so stale freed records never shadow live memory. *)
   base
 
-let heap_block_size t base = Hashtbl.find_opt t.live_heap base
+let heap_block_size t base = Addr_tbl.find_opt t.live_heap base
 
 let free_heap t base =
-  match Hashtbl.find_opt t.live_heap base with
+  match Addr_tbl.find_opt t.live_heap base with
   | None -> Error Unmapped
   | Some size ->
-    Hashtbl.remove t.live_heap base;
+    Addr_tbl.remove t.live_heap base;
     t.freed <- (base, size) :: t.freed;
     Ok ()
 
 let stack_base tid = stacks_base + (tid * stack_size)
 
 let frame_mark t ~tid =
-  match Hashtbl.find_opt t.stack_tops tid with
-  | Some top -> top
-  | None ->
+  match Hashtbl.find t.stack_tops tid with
+  | top -> top
+  | exception Not_found ->
     let base = stack_base tid in
     Hashtbl.replace t.stack_tops tid base;
     base
@@ -81,28 +101,27 @@ let alloc_stack t ~tid ~size =
 
 let pop_frame t ~tid ~mark = Hashtbl.replace t.stack_tops tid mark
 
-let in_freed t addr =
-  List.exists (fun (base, size) -> addr >= base && addr < base + size) t.freed
+let rec in_freed addr = function
+  | [] -> false
+  | (base, size) :: rest -> (addr >= base && addr < base + size) || in_freed addr rest
 
-let validate t addr =
-  if addr < null_limit then Error Null
-  else if addr < globals_base then Error Unmapped (* code region *)
-  else if addr < heap_base then
-    if addr < t.globals_top then Ok () else Error Unmapped
-  else if addr < heap_limit then
-    if in_freed t addr then Error Freed
-    else if addr < t.heap_top then Ok ()
-    else Error Unmapped
-  else Ok () (* stack zone: frame discipline keeps accesses in-bounds *)
+(* The fault an access to [addr] takes, if any. *)
+let check t addr =
+  if addr < null_limit then raise (Fault Null)
+  else if addr < globals_base then raise (Fault Unmapped) (* code region *)
+  else if addr < heap_base then begin
+    if addr >= t.globals.top then raise (Fault Unmapped)
+  end
+  else if addr < heap_limit then begin
+    if in_freed addr t.freed then raise (Fault Freed)
+    else if addr >= t.heap_top then raise (Fault Unmapped)
+  end
+(* stack zone: frame discipline keeps accesses in-bounds *)
 
-let read t ~addr =
-  match validate t addr with
-  | Error _ as e -> e
-  | Ok () -> Ok (Option.value ~default:0 (Hashtbl.find_opt t.cells addr))
+let load t ~addr =
+  check t addr;
+  match Addr_tbl.find t.cells addr with v -> v | exception Not_found -> 0
 
-let write t ~addr ~value =
-  match validate t addr with
-  | Error _ as e -> e
-  | Ok () ->
-    Hashtbl.replace t.cells addr value;
-    Ok ()
+let store t ~addr ~value =
+  check t addr;
+  Addr_tbl.replace t.cells addr value

@@ -11,13 +11,21 @@ type t
 
 type access_error = Null | Freed | Unmapped
 
-val create : unit -> t
+exception Fault of access_error
 
-val load_globals : t -> Lir.Irmod.t -> unit
-(** Assign an address to every module global. *)
+type globals
+(** Addresses of a module's globals: computed once per module, then
+    shared read-only by every run of it. *)
 
-val global_addr : t -> string -> int
+val layout_globals : Lir.Irmod.t -> globals
+(** Assign an address to every module global, in the module's global
+    table order. *)
+
+val global_addr : globals -> string -> int
 (** Raises [Not_found] for unknown globals. *)
+
+val create : globals -> t
+(** A fresh address space holding the given globals. *)
 
 val alloc_heap : t -> size:int -> int
 
@@ -34,5 +42,9 @@ val frame_mark : t -> tid:int -> int
 val alloc_stack : t -> tid:int -> size:int -> int
 val pop_frame : t -> tid:int -> mark:int -> unit
 
-val read : t -> addr:int -> (int, access_error) result
-val write : t -> addr:int -> value:int -> (unit, access_error) result
+val load : t -> addr:int -> int
+(** The word at [addr]; unwritten valid addresses read as 0.  Raises
+    [Fault] for an access the address space rejects. *)
+
+val store : t -> addr:int -> value:int -> unit
+(** Raises [Fault] like {!load}. *)

@@ -1,23 +1,30 @@
-type t = { mutable state : int64 }
+(* The state lives in 8 bytes rather than a mutable [int64] field: the
+   64-bit accessors on [bytes] compile to unboxed loads and stores, so a
+   draw allocates nothing (the simulator draws once per instruction). *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
 
-let next64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t =
-  let seed = next64 t in
-  { state = seed }
+let[@inline] next64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix64 state
+
+let split t = of_state (next64 t)
 
 let int t ~bound =
   assert (bound > 0);
@@ -30,7 +37,7 @@ let in_range t ~lo ~hi =
   assert (lo <= hi);
   lo + int t ~bound:(hi - lo + 1)
 
-let float t ~bound =
+let[@inline] float t ~bound =
   (* 53 random bits scaled into [0, 1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
   bits /. 9007199254740992.0 *. bound

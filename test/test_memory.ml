@@ -3,15 +3,24 @@
 
 module B = Lir.Builder
 module T = Lir.Ty
-module Memory = Sim.Memory
 
-let fresh () =
-  let mem = Memory.create () in
+(* Accesses as results, so each case reads as the fault it expects. *)
+module Memory = struct
+  include Sim.Memory
+
+  let read mem ~addr = match load mem ~addr with v -> Ok v | exception Fault e -> Error e
+
+  let write mem ~addr ~value =
+    match store mem ~addr ~value with () -> Ok () | exception Fault e -> Error e
+end
+
+let globals () =
   let m = Lir.Irmod.create "mem" in
   Lir.Irmod.declare_global m "g1" T.I64;
   Lir.Irmod.declare_global m "g2" (T.Ptr T.I64);
-  Memory.load_globals mem m;
-  mem
+  Memory.layout_globals m
+
+let fresh () = Memory.create (globals ())
 
 let test_null_page_faults () =
   let mem = fresh () in
@@ -29,9 +38,10 @@ let test_code_region_unmapped () =
   | _ -> Alcotest.fail "code region must not be data-readable"
 
 let test_globals_rw () =
-  let mem = fresh () in
-  let a1 = Memory.global_addr mem "g1" in
-  let a2 = Memory.global_addr mem "g2" in
+  let g = globals () in
+  let mem = Memory.create g in
+  let a1 = Memory.global_addr g "g1" in
+  let a2 = Memory.global_addr g "g2" in
   Alcotest.(check bool) "distinct addresses" true (a1 <> a2);
   (match Memory.read mem ~addr:a1 with
   | Ok 0 -> ()

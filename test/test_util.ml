@@ -136,6 +136,78 @@ let prop_ringbuf_suffix =
       let expected = String.sub data (String.length data - keep) keep in
       String.equal expected (Bytes.to_string (Ringbuf.snapshot rb)))
 
+(* A fixed ring of the same capacity is the model: after every write —
+   single bytes and blocks, across every growth step of the lazily sized
+   storage and across the wrap point — the snapshot is the last
+   [capacity] bytes of everything written, and the counters agree. *)
+let prop_ringbuf_model =
+  let init = Ringbuf.initial_size in
+  let write_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun c -> `Byte c) (int_range 0 255);
+          map (fun s -> `Block s) (string_size (int_range 0 (init + init / 2)));
+        ])
+  in
+  QCheck.Test.make ~name:"Ringbuf matches a fixed ring after every write"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, ws) -> Printf.sprintf "cap %d, %d writes" cap (List.length ws))
+        Gen.(pair (int_range 1 (4 * init)) (list_size (int_range 1 40) write_gen)))
+    (fun (cap, writes) ->
+      let rb = Ringbuf.create ~capacity:cap in
+      let all = Buffer.create 1024 in
+      List.for_all
+        (fun w ->
+          (match w with
+          | `Byte c ->
+            Ringbuf.write_byte rb c;
+            Buffer.add_char all (Char.chr c)
+          | `Block s ->
+            if String.length s mod 2 = 0 then Ringbuf.write_bytes rb (Bytes.of_string s)
+            else Ringbuf.write_buffer rb (Buffer.of_seq (String.to_seq s));
+            Buffer.add_string all s);
+          let total = Buffer.length all in
+          let keep = min cap total in
+          String.equal (Buffer.sub all (total - keep) keep)
+            (Bytes.to_string (Ringbuf.snapshot rb))
+          && Ringbuf.length rb = keep
+          && Ringbuf.total_written rb = total
+          && Ringbuf.wrapped rb = (total > cap))
+        writes)
+
+(* The boundaries the model test reaches by chance, hit on purpose: a
+   capacity that is not a power-of-two multiple of the initial storage,
+   a block straddling the first growth, then one straddling the wrap. *)
+let test_ringbuf_growth_then_wrap () =
+  let init = Ringbuf.initial_size in
+  let cap = (3 * init) + 5 in
+  let rb = Ringbuf.create ~capacity:cap in
+  let all = Buffer.create 4096 in
+  let write n =
+    let s = String.init n (fun i -> Char.chr ((Buffer.length all + i) land 0xff)) in
+    Ringbuf.write_bytes rb (Bytes.of_string s);
+    Buffer.add_string all s;
+    let keep = min cap (Buffer.length all) in
+    Alcotest.(check string)
+      (Printf.sprintf "suffix after %d bytes" (Buffer.length all))
+      (Buffer.sub all (Buffer.length all - keep) keep)
+      (Bytes.to_string (Ringbuf.snapshot rb))
+  in
+  write (init - 3);
+  write 10;
+  write (cap - init - 9);
+  Alcotest.(check bool) "not yet wrapped" false (Ringbuf.wrapped rb);
+  write 7;
+  Alcotest.(check bool) "wrapped" true (Ringbuf.wrapped rb);
+  for _ = 1 to 3 do
+    Ringbuf.write_byte rb 0x5a;
+    Buffer.add_char all '\x5a'
+  done;
+  write (cap + 2)
+
 (* --- varint ------------------------------------------------------------- *)
 
 (* Generators that always exercise the boundary values (7-bit group edges
@@ -725,6 +797,8 @@ let tests =
         Alcotest.test_case "wrap keeps newest" `Quick test_ringbuf_wrap;
         Alcotest.test_case "clear" `Quick test_ringbuf_clear;
         qtest prop_ringbuf_suffix;
+        qtest prop_ringbuf_model;
+        Alcotest.test_case "growth then wrap" `Quick test_ringbuf_growth_then_wrap;
       ] );
     ( "util.varint",
       [
