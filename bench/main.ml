@@ -354,97 +354,66 @@ let emit_decode_bench () =
     Printf.eprintf "cannot write %s: %s\n" path msg;
     exit 1
 
-(* The streaming fleet under the shard-per-domain service: the same
-   seeded scenario serviced inline (shard_domains = 1) and with one
-   worker domain per shard (shard_domains = 4), sharing one baseline
-   reproduction and starting each timed run from a cold shared decode
-   cache.  The SPSC handoff replays each shard's exact inline operation
-   sequence, so the two bucket tables must compare equal — the runs may
-   differ only in wall clock.  The >= 2x speedup assertion is a
-   multicore claim; on hosts with fewer than 4 cores the ratio is still
-   measured and reported, but the gate records itself as skipped (extra
-   domains cannot beat physics on one core). *)
+(* The streaming fleet: one seeded churn scenario over the evaluation
+   set, serviced inline, each timed run starting from a cold shared
+   decode cache.  The bench fails when incremental diagnosis diverges
+   from batch, the backpressure accounting does not close, or the final
+   drain leaves packets queued. *)
 let emit_stream_bench () =
   let module Deploy = Stream.Deploy in
   let bugs = Corpus.Registry.eval_set in
   let baselines = Stream.Traffic.prepare bugs in
-  let cfg domains =
+  let cfg =
     {
       Deploy.default_config with
       Deploy.endpoints = 48;
       duration_ticks = 72;
       shards = 4;
-      shard_domains = domains;
       churn = true;
       seed = 42;
     }
   in
-  let run domains () =
+  let run () =
     Pt.Decode_cache.clear Pt.Decode_cache.shared;
-    Deploy.run ~baselines (cfg domains) bugs
+    Deploy.run ~baselines cfg bugs
   in
   (* Best of 3, like the decode bench: the stable floor, not a mean that
      inherits GC and scheduler noise. *)
-  let best f =
-    let best = ref None in
-    for _ = 1 to 3 do
-      let s = f () in
-      match !best with
-      | Some (b : Deploy.summary) when b.Deploy.stream_ns <= s.Deploy.stream_ns
-        ->
-        ()
-      | _ -> best := Some s
+  let best =
+    let best = ref (run ()) in
+    for _ = 2 to 3 do
+      let s = run () in
+      if s.Deploy.stream_ns < !best.Deploy.stream_ns then best := s
     done;
-    Option.get !best
+    !best
   in
-  let seq = best (run 1) in
-  let par = best (run 4) in
   let fail msg =
     Printf.eprintf "stream bench: %s\n" msg;
     exit 1
   in
-  if seq.Deploy.rows <> par.Deploy.rows then
-    fail "bucket tables differ between 1-domain and 4-domain runs";
-  List.iter
-    (fun (tag, (s : Deploy.summary)) ->
-      if not s.Deploy.agree then
-        fail (tag ^ ": incremental diagnosis diverged from batch");
-      if not s.Deploy.accounted then
-        fail (tag ^ ": backpressure accounting failed");
-      if s.Deploy.leftover_queue <> 0 then
-        fail (tag ^ ": final drain left packets queued"))
-    [ ("seq", seq); ("par", par) ];
-  let cores = Domain.recommended_domain_count () in
-  let speedup =
-    if par.Deploy.stream_ns > 0.0 then
-      seq.Deploy.stream_ns /. par.Deploy.stream_ns
-    else 0.0
-  in
-  let gate = if cores >= 4 then "enforced" else "skipped_few_cores" in
-  if gate = "enforced" && speedup < 2.0 then
-    fail
-      (Printf.sprintf "stream_parallel_speedup %.2f < 2.0 (%d cores)" speedup
-         cores);
+  if not best.Deploy.agree then
+    fail "incremental diagnosis diverged from batch";
+  if not best.Deploy.accounted then fail "backpressure accounting failed";
+  if best.Deploy.leftover_queue <> 0 then
+    fail "final drain left packets queued";
   let json =
     Obs.Json.Obj
       [
-        ("endpoints", Obs.Json.Int (cfg 1).Deploy.endpoints);
-        ("duration_ticks", Obs.Json.Int (cfg 1).Deploy.duration_ticks);
-        ("shards", Obs.Json.Int (cfg 1).Deploy.shards);
-        ("shard_domains", Obs.Json.Int (cfg 4).Deploy.shard_domains);
-        ("domains_used", Obs.Json.Int par.Deploy.domains_used);
+        ("endpoints", Obs.Json.Int cfg.Deploy.endpoints);
+        ("duration_ticks", Obs.Json.Int cfg.Deploy.duration_ticks);
+        ("shards", Obs.Json.Int cfg.Deploy.shards);
         ("bugs", Obs.Json.Int (List.length bugs));
         ("churn", Obs.Json.Bool true);
-        ("offered", Obs.Json.Int par.Deploy.offered);
-        ("shed", Obs.Json.Int par.Deploy.shed);
-        ("drained", Obs.Json.Int par.Deploy.drained);
-        ("buckets", Obs.Json.Int par.Deploy.bucket_count);
-        ("reports_per_sec", Obs.Json.Float par.Deploy.reports_per_sec);
-        ("shed_ratio", Obs.Json.Float par.Deploy.shed_ratio);
+        ("offered", Obs.Json.Int best.Deploy.offered);
+        ("shed", Obs.Json.Int best.Deploy.shed);
+        ("drained", Obs.Json.Int best.Deploy.drained);
+        ("buckets", Obs.Json.Int best.Deploy.bucket_count);
+        ("reports_per_sec", Obs.Json.Float best.Deploy.reports_per_sec);
+        ("shed_ratio", Obs.Json.Float best.Deploy.shed_ratio);
         ( "report_to_diagnosis_p50_ns",
-          Obs.Json.Float par.Deploy.latency_p50_ns );
+          Obs.Json.Float best.Deploy.latency_p50_ns );
         ( "report_to_diagnosis_p99_ns",
-          Obs.Json.Float par.Deploy.latency_p99_ns );
+          Obs.Json.Float best.Deploy.latency_p99_ns );
         ( "shard_latency",
           Obs.Json.List
             (Array.to_list
@@ -456,15 +425,11 @@ let emit_stream_bench () =
                         ("queue_wait_p50_ns", Obs.Json.Float p50);
                         ("queue_wait_p99_ns", Obs.Json.Float p99);
                       ])
-                  par.Deploy.shard_latency)) );
-        ("incremental_agrees_batch", Obs.Json.Bool par.Deploy.agree);
-        ("accounted", Obs.Json.Bool par.Deploy.accounted);
-        ("rows_identical", Obs.Json.Bool true);
-        ("stream_seq_ns", Obs.Json.Float seq.Deploy.stream_ns);
-        ("stream_par_ns", Obs.Json.Float par.Deploy.stream_ns);
-        ("stream_parallel_speedup", Obs.Json.Float speedup);
-        ("cores", Obs.Json.Int cores);
-        ("parallel_gate", Obs.Json.String gate);
+                  best.Deploy.shard_latency)) );
+        ("incremental_agrees_batch", Obs.Json.Bool best.Deploy.agree);
+        ("accounted", Obs.Json.Bool best.Deploy.accounted);
+        ("stream_seq_ns", Obs.Json.Float best.Deploy.stream_ns);
+        ("cores", Obs.Json.Int (Domain.recommended_domain_count ()));
       ]
   in
   let path = "BENCH_stream.json" in
@@ -474,13 +439,10 @@ let emit_stream_bench () =
         Out_channel.output_char oc '\n')
   with
   | () ->
-    Printf.printf
-      "Stream bench written to %s (seq %.1f ms, par %.1f ms, speedup %.2fx \
-       on %d core(s), gate %s)\n%!"
+    Printf.printf "Stream bench written to %s (%.1f ms, %.0f reports/s)\n%!"
       path
-      (seq.Deploy.stream_ns /. 1e6)
-      (par.Deploy.stream_ns /. 1e6)
-      speedup cores gate
+      (best.Deploy.stream_ns /. 1e6)
+      best.Deploy.reports_per_sec
   | exception Sys_error msg ->
     Printf.eprintf "cannot write %s: %s\n" path msg;
     exit 1

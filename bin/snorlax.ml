@@ -385,9 +385,6 @@ let stream_json (s : Stream.Deploy.summary) =
       ("endpoints", Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.endpoints);
       ("duration_ticks", Obs.Json.Int s.Stream.Deploy.ticks);
       ("shards", Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.shards);
-      ( "shard_domains",
-        Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.shard_domains );
-      ("domains_used", Obs.Json.Int s.Stream.Deploy.domains_used);
       ("churn", Obs.Json.Bool s.Stream.Deploy.cfg.Stream.Deploy.churn);
       ( "fault",
         Obs.Json.String
@@ -439,7 +436,7 @@ let stream_json (s : Stream.Deploy.summary) =
       ("total_ns", Obs.Json.Float s.Stream.Deploy.total_ns);
     ]
 
-let stream_run n_endpoints ticks n_shards shard_domains churn fault_name
+let stream_run n_endpoints ticks n_shards churn fault_name
     shed_str watch bug_id all seed out decode_jobs decode_cache obs =
   apply_decode_opts decode_jobs decode_cache;
   if not (setup_obs obs) then 1
@@ -485,7 +482,6 @@ let stream_run n_endpoints ticks n_shards shard_domains churn fault_name
           Stream.Deploy.endpoints = n_endpoints;
           duration_ticks = ticks;
           shards = n_shards;
-          shard_domains;
           churn;
           fault;
           seed;
@@ -494,13 +490,11 @@ let stream_run n_endpoints ticks n_shards shard_domains churn fault_name
       in
       Printf.printf
         "Streaming %d endpoints x %d scenario%s for %d ticks across %d \
-         shard%s (%s)...\n%!"
+         shard%s...\n%!"
         n_endpoints (List.length bugs)
         (if List.length bugs = 1 then "" else "s")
         ticks n_shards
-        (if n_shards = 1 then "" else "s")
-        (if shard_domains <= 1 then "inline"
-         else Printf.sprintf "%d worker domains" shard_domains);
+        (if n_shards = 1 then "" else "s");
       let tick =
         if watch then
           Some
@@ -1180,15 +1174,6 @@ let stream_cmd =
       & info [ "shards" ] ~docv:"S"
           ~doc:"Collector shards behind the signature-hashing tracker.")
   in
-  let shard_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "shard-domains" ] ~docv:"D"
-          ~doc:
-            "Worker domains for the shard service plane; 1 services \
-             inline on the submitting domain.  Results are \
-             byte-identical whatever the value.")
-  in
   let churn =
     Arg.(
       value & flag
@@ -1252,7 +1237,7 @@ let stream_cmd =
           incremental diagnosis diverges from a from-scratch batch or the \
           backpressure accounting fails to reconcile")
     Term.(
-      const stream_run $ endpoints $ ticks $ shards $ shard_domains $ churn
+      const stream_run $ endpoints $ ticks $ shards $ churn
       $ fault $ shed $ watch $ bug $ all $ seed $ out $ decode_jobs_arg
       $ decode_cache_arg $ obs_term)
 

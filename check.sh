@@ -79,38 +79,22 @@ awk 'BEGIN { RS="," } /"parallel_speedup"/ {
   BENCH_decode.json
 
 echo "== stream smoke =="
-# Continuous streaming path, serviced by the shard-per-domain plane: the
-# exit status gates "incremental diagnosis equals a from-scratch batch
-# on every bucket", "backpressure accounting reconciles (offered = shed
-# + drained + leftover, per shard)" and "the final drain left nothing
-# queued" — all with the SPSC handoff in the loop.  Writes to /tmp: the
-# canonical BENCH_stream.json comes from the bench gate below.
+# Continuous streaming path: the exit status gates "incremental
+# diagnosis equals a from-scratch batch on every bucket", "backpressure
+# accounting reconciles (offered = shed + drained + leftover, per
+# shard)" and "the final drain left nothing queued".  Writes to /tmp:
+# the canonical BENCH_stream.json comes from the stream bench below.
 dune exec bin/snorlax.exe -- stream --bug pbzip2-1 --endpoints 6 \
-  --duration-ticks 8 --shards 2 --churn --shard-domains 4 \
+  --duration-ticks 8 --shards 2 --churn \
   --out /tmp/snorlax_stream_smoke.json
 rm -f /tmp/snorlax_stream_smoke.json
 
-echo "== stream bench gate =="
-# Emit the streaming artifact: the same seeded scenario run inline
-# (1 domain) and with one worker domain per shard (4), sharing one
-# baseline reproduction.  The bench itself asserts the two bucket
-# tables compare equal and that incremental == batch with accounting
-# reconciled in both modes; the awk gate holds the service plane to its
-# headline >= 2x speedup on hosts with enough cores (the bench marks
-# the gate skipped_few_cores below 4 — extra domains cannot beat
-# physics on one core, and the ratio is still recorded).
+echo "== stream bench =="
+# Emit the streaming artifact: one seeded churn scenario over the
+# evaluation set, best of 3.  The bench exits non-zero when incremental
+# diagnosis diverges from batch, the accounting fails to reconcile, or
+# the final drain leaves packets queued.
 dune exec bench/main.exe -- --stream-only
-awk 'BEGIN { RS="," } /"parallel_gate"/ {
-       if ($0 ~ /skipped_few_cores/) { print "stream bench gate: skipped (too few cores for the 2x assert)"; ok = 1 }
-     }
-     /"stream_parallel_speedup"/ { split($0, kv, ":"); s = kv[2] + 0; seen = 1 }
-     END {
-       if (!seen) { print "stream bench gate: stream_parallel_speedup missing"; exit 1 }
-       if (ok) exit 0
-       if (s >= 2.0) { print "stream bench gate: stream_parallel_speedup " s " >= 2.0" }
-       else { print "stream bench gate: stream_parallel_speedup " s " < 2.0"; exit 1 }
-     }' \
-  BENCH_stream.json
 
 echo "== fleet bench gate =="
 # Re-emit the batch-fleet benchmark and gate it against the newest

@@ -1,7 +1,6 @@
 module Core = Snorlax_core
 module Collector = Fleet.Collector
 module Prng = Snorlax_util.Prng
-module Pool = Snorlax_util.Pool
 
 type trial = {
   cls : Fault.cls;
@@ -217,13 +216,13 @@ let collect_baseline bug =
    per-class trials.  Sequential mode is the historical loop exactly:
    every baseline collected first (stopping at the first failure, trials
    untouched), then trial matrices bug by bug with progress in between.
-   Parallel mode fans one bug per pool lane — baseline collect included
-   — with a lane-private modules table, sequential nested decode and a
-   private telemetry context; lanes merge back in input order (first
-   baseline error in input order wins, progress replays on the
-   submitting domain), so the report is identical either way. *)
-let sweep_lanes ~eff ~policy ~endpoints ~classes ~seeds ~progress bugs =
-  if eff <= 1 then begin
+   Parallel mode runs one bug per {!Obs.Scope.sweep} lane — baseline
+   collect included — with a lane-private modules table; lanes merge
+   back in input order (first baseline error in input order wins,
+   progress replays on the submitting domain), so the report is
+   identical either way. *)
+let sweep_lanes ~jobs ~policy ~endpoints ~classes ~seeds ~progress bugs =
+  if jobs <= 1 then begin
     let modules = Hashtbl.create 16 in
     let baselines =
       List.fold_left
@@ -250,52 +249,35 @@ let sweep_lanes ~eff ~policy ~endpoints ~classes ~seeds ~progress bugs =
            (List.rev baselines_rev))
   end
   else begin
-    let arr = Array.of_list bugs in
-    let n = Array.length arr in
-    let telemetry = Obs.Scope.enabled () in
-    let out = Array.make n None in
-    let regs = Array.make n None in
-    Pool.with_pool ~jobs:eff (fun pool ->
-        Pool.run pool n (fun i ->
-            Pool.with_default_jobs 1 @@ fun () ->
-            let go () =
-              let r =
-                match collect_baseline arr.(i) with
-                | Error _ as e -> e
-                | Ok bl ->
-                  let modules = Hashtbl.create 16 in
-                  Ok
-                    ( bl,
-                      trials_for_bug ~modules ~policy ~endpoints ~classes
-                        ~seeds bl )
-              in
-              out.(i) <- Some r
-            in
-            if telemetry then begin
-              let c = Obs.Scope.make () in
-              regs.(i) <- Some c.Obs.Scope.metrics;
-              Obs.Scope.using c go
-            end
-            else go ()));
-    Array.iter (Option.iter Obs.Scope.merge_worker) regs;
-    let first_error = ref None in
-    Array.iter
-      (fun r ->
-        match (r, !first_error) with
-        | Some (Error e), None -> first_error := Some e
-        | _ -> ())
-      out;
-    match !first_error with
-    | Some e -> Error e
-    | None ->
-      Ok
-        (List.init n (fun i ->
-             match out.(i) with
-             | Some (Ok lane) ->
-               let bl, _ = lane in
-               progress (progress_line bl ~classes ~seeds);
-               lane
-             | _ -> assert false))
+    let lanes =
+      Obs.Scope.sweep ~jobs
+        (fun _ bug ->
+          match collect_baseline bug with
+          | Error _ as e -> e
+          | Ok bl ->
+            let modules = Hashtbl.create 16 in
+            Ok
+              ( bl,
+                trials_for_bug ~modules ~policy ~endpoints ~classes ~seeds bl
+              ))
+        (Array.of_list bugs)
+    in
+    (* Folding from the right lets the first error in input order win. *)
+    match
+      Array.fold_right
+        (fun lane acc ->
+          match (lane, acc) with
+          | (Error _ as e), _ -> e
+          | Ok lane, Ok lanes -> Ok (lane :: lanes)
+          | Ok _, (Error _ as e) -> e)
+        lanes (Ok [])
+    with
+    | Error _ as e -> e
+    | Ok lanes ->
+      List.iter
+        (fun (bl, _) -> progress (progress_line bl ~classes ~seeds))
+        lanes;
+      Ok lanes
   end
 
 let run ?(policy = Collector.default_policy) ?(endpoints = 3)
@@ -311,11 +293,10 @@ let run ?(policy = Collector.default_policy) ?(endpoints = 3)
           ("bugs", Obs.Span.Int (List.length bugs));
         ]
     @@ fun () ->
-    let eff =
-      let j = match jobs with Some j -> max 1 j | None -> 1 in
-      min (min j (Domain.recommended_domain_count ())) (List.length bugs)
-    in
-    match sweep_lanes ~eff ~policy ~endpoints ~classes ~seeds ~progress bugs with
+    let jobs = match jobs with Some j -> j | None -> 1 in
+    match
+      sweep_lanes ~jobs ~policy ~endpoints ~classes ~seeds ~progress bugs
+    with
     | Error e -> Error e
     | Ok lanes ->
       let baselines = List.map fst lanes in

@@ -71,9 +71,8 @@ val run :
     [Error] when [seeds < 1], [bugs] is empty, or a bug's lab baseline
     fails to reproduce.  [progress] receives one line per completed bug.
     [jobs] (default 1 = the historical sequential loop) fans the sweep
-    one bug per lane across a scoped domain pool — baseline collect and
-    all that bug's trials together, with a lane-private server-build
-    table and private telemetry merged back in input order.  Trials are
+    one bug per {!Obs.Scope.sweep} lane — baseline collect and all that
+    bug's trials together, with a lane-private server-build table.  Trials are
     already independent per (bug, class, seed), so the report is
     identical whatever [jobs]; [progress] then fires on the submitting
     domain as lanes merge, still in bug order. *)

@@ -1,6 +1,5 @@
 module Core = Snorlax_core
 module Hb = Analysis.Hb
-module Pool = Snorlax_util.Pool
 
 (* The semantic referee for synthesized patches.  Synthesis only promises
    the patched module still verifies; this module decides whether the bug
@@ -436,41 +435,16 @@ let fix_bug ?jobs ?cache ?(seeds = default_sweep_seeds) (bug : Corpus.Bug.t) =
 
 (* --- the corpus-wide sweep ------------------------------------------------ *)
 
-(* Same lane discipline as [Diffcheck.check_all]: one bug per pool lane,
-   nested decode pinned sequential inside each lane, private telemetry
-   scopes merged back in input order — so the parallel sweep's result
-   list is identical to the sequential one's. *)
+(* One bug per {!Obs.Scope.sweep} lane; a lane's nested decode is pinned
+   sequential, so the parallel result list equals the sequential one. *)
 let fix_all ?jobs ?sweep_jobs ?cache ?seeds bugs =
-  let arr = Array.of_list bugs in
-  let n = Array.length arr in
   let sj = match sweep_jobs with Some j -> max 1 j | None -> 1 in
-  let eff = min (min sj (Domain.recommended_domain_count ())) n in
-  if eff <= 1 then
-    List.map
-      (fun (b : Corpus.Bug.t) ->
-        (b.Corpus.Bug.id, fix_bug ?jobs ?cache ?seeds b))
-      bugs
-  else begin
-    let telemetry = Obs.Scope.enabled () in
-    let out = Array.make n None in
-    let regs = Array.make n None in
-    Pool.with_pool ~jobs:eff (fun pool ->
-        Pool.run pool n (fun i ->
-            Pool.with_default_jobs 1 @@ fun () ->
-            let go () =
-              out.(i) <- Some (fix_bug ~jobs:1 ?cache ?seeds arr.(i))
-            in
-            if telemetry then begin
-              let c = Obs.Scope.make () in
-              regs.(i) <- Some c.Obs.Scope.metrics;
-              Obs.Scope.using c go
-            end
-            else go ()));
-    Array.iter (Option.iter Obs.Scope.merge_worker) regs;
-    List.init n (fun i ->
-        ( arr.(i).Corpus.Bug.id,
-          match out.(i) with Some r -> r | None -> assert false ))
-  end
+  let jobs = if sj > 1 then Some 1 else jobs in
+  Array.to_list
+    (Obs.Scope.sweep ~jobs:sj
+       (fun _ (b : Corpus.Bug.t) ->
+         (b.Corpus.Bug.id, fix_bug ?jobs ?cache ?seeds b))
+       (Array.of_list bugs))
 
 (* --- reporting ------------------------------------------------------------ *)
 

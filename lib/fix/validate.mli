@@ -88,8 +88,8 @@ val fix_all :
   Corpus.Bug.t list ->
   (string * (bug_report, string) result) list
 (** [fix_bug] over a bug list, tagged by bug id, in input order.
-    [sweep_jobs] fans one bug per pool lane (nested decode pinned
-    sequential, private telemetry scopes merged in input order), so the
+    [sweep_jobs] (default 1) fans one bug per {!Obs.Scope.sweep} lane;
+    above 1, [jobs] is ignored and each lane decodes sequentially.  The
     parallel sweep returns exactly the sequential sweep's list. *)
 
 type summary = {

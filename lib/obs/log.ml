@@ -130,9 +130,7 @@ module Recorder = struct
 end
 
 (* Each domain owns its always-on ring: workers that log never race on
-   a shared array, and a shard worker's events stay in rings that shard
-   owns (its flight recorder via [with_recorder], plus the worker
-   domain's private default ring). *)
+   a shared array. *)
 let default_key : Recorder.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Recorder.create ~capacity:128 ())
 

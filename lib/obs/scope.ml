@@ -1,3 +1,5 @@
+module Pool = Snorlax_util.Pool
+
 type ctx = {
   metrics : Metrics.t;
   trace : Span.t;
@@ -9,8 +11,8 @@ type ctx = {
 (* Domain-local: each domain sees its own (usually absent) context, so a
    worker domain's recording calls are no-ops unless the worker installed
    a private context with [using].  This is what makes the ambient calls
-   sprinkled through the decoder/collector safe to run on pool and shard
-   domains — they never touch another domain's registry. *)
+   sprinkled through the decoder/collector safe to run on pool domains —
+   they never touch another domain's registry. *)
 let state : ctx option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -110,6 +112,30 @@ let timed name f =
 
 let merge_worker m =
   match !(Domain.DLS.get state) with None -> () | Some c -> Metrics.merge ~into:c.metrics m
+
+let sweep ~jobs f items =
+  let n = Array.length items in
+  let lanes = min (min jobs (Domain.recommended_domain_count ())) n in
+  if lanes <= 1 then Array.mapi f items
+  else begin
+    let telemetry = enabled () in
+    let regs = Array.make n None in
+    let out =
+      Pool.with_pool ~jobs:lanes (fun pool ->
+          Pool.map pool
+            (fun i x ->
+              Pool.with_default_jobs 1 @@ fun () ->
+              if telemetry then begin
+                let c = make () in
+                regs.(i) <- Some c.metrics;
+                using c (fun () -> f i x)
+              end
+              else f i x)
+            items)
+    in
+    Array.iter (Option.iter merge_worker) regs;
+    out
+  end
 
 let export_chrome () =
   match !(Domain.DLS.get state) with

@@ -9,8 +9,8 @@
 
     The context slot is domain-local ([Domain.DLS]): a freshly spawned
     domain always starts with no scope, so ambient recording calls on
-    pool or shard worker domains are no-ops unless the worker installs
-    a private context with {!using}.  Cross-domain telemetry therefore
+    pool worker domains are no-ops unless the worker installs a private
+    context with {!using}.  Cross-domain telemetry therefore
     flows one way only — workers record into contexts they own, and the
     submitting domain folds those registries back in with
     {!merge_worker} after a barrier. *)
@@ -68,6 +68,19 @@ val merge_worker : Metrics.t -> unit
     ({!Metrics.merge}); no-op when disabled.  This is how domain-local
     telemetry rejoins the main registry — workers must never touch the
     ambient context directly. *)
+
+val sweep : jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
+(** [sweep ~jobs f items] is [Array.mapi f items] fanned across
+    [min jobs cores (length items)] lanes of a scoped
+    {!Snorlax_util.Pool}, results in input order.  The one way a corpus
+    sweep goes parallel: inside each item nested
+    {!Snorlax_util.Pool.default_jobs} is pinned to 1, and when a scope
+    is enabled the item records into a private context whose metrics are
+    folded into the ambient registry with {!merge_worker}, in input
+    order, after the batch (spans recorded inside items are dropped).
+    With one lane it is exactly [Array.mapi f items] on the calling
+    domain — no pool, no pinning, the ambient scope visible to [f].  An
+    item's exception cancels the unclaimed items and is re-raised. *)
 
 val export_chrome : unit -> Json.t option
 (** The current context as a Chrome trace-event document, including the

@@ -82,11 +82,10 @@ val check_all :
   Corpus.Bug.t list ->
   (string * (bug_result, string) result) list
 (** [check_bug] over a bug list, tagged by bug id, in registry order.
-    [sweep_jobs] (default 1 = sequential) fans the sweep one bug per
-    lane across a scoped domain pool; each lane pins nested decode
-    sequential (so [jobs] is ignored while sweeping in parallel) and
-    runs under a private telemetry context merged back in input order —
-    the result list is identical to the sequential sweep's. *)
+    [sweep_jobs] (default 1 = sequential) fans one bug per
+    {!Obs.Scope.sweep} lane; above 1, [jobs] is ignored and each lane
+    decodes sequentially.  The result list is identical to the
+    sequential sweep's. *)
 
 val diverged : bug_result -> bool
 (** True for [Diagnosis_miss], [Diagnosis_spurious] and [Oracle_only]. *)

@@ -6,7 +6,6 @@ type config = {
   endpoints : int;
   duration_ticks : int;
   shards : int;
-  shard_domains : int;
   churn : bool;
   fault : Chaos.Fault.cls option;
   seed : int;
@@ -20,7 +19,6 @@ let default_config =
     endpoints = 32;
     duration_ticks = 48;
     shards = 4;
-    shard_domains = 1;
     churn = false;
     fault = None;
     seed = 42;
@@ -96,7 +94,6 @@ type summary = {
   latency_p50_ns : float;
   latency_p99_ns : float;
   shard_latency : (float * float) array;  (** per-shard (p50, p99) queue-wait *)
-  domains_used : int;  (** worker domains actually spawned; 0 = inline *)
   agree : bool;  (** every bucket's [batch_agrees] *)
   accounted : bool;  (** offered = shed + drained + leftover, per shard *)
   stream_ns : float;  (** the streaming phase (generator setup excluded) *)
@@ -169,8 +166,6 @@ let diagnose_bucket shards shard_idx shard (b : Collector.bucket) =
 
 let run ?tick ?baselines cfg bugs =
   if cfg.shards < 1 then invalid_arg "Stream.Deploy.run: shards < 1";
-  if cfg.shard_domains < 1 then
-    invalid_arg "Stream.Deploy.run: shard_domains < 1";
   if cfg.duration_ticks < 1 then
     invalid_arg "Stream.Deploy.run: duration_ticks < 1";
   Obs.Scope.with_span "stream"
@@ -178,7 +173,6 @@ let run ?tick ?baselines cfg bugs =
       [
         ("endpoints", Obs.Span.Int cfg.endpoints);
         ("shards", Obs.Span.Int cfg.shards);
-        ("domains", Obs.Span.Int cfg.shard_domains);
         ("ticks", Obs.Span.Int cfg.duration_ticks);
       ]
   @@ fun () ->
@@ -195,19 +189,18 @@ let run ?tick ?baselines cfg bugs =
   in
   (* Same private-registry trick as the batch fleet: the summary's
      latency percentiles exist with telemetry off.  One registry per
-     shard so each worker domain writes only its own histogram; the
-     fleet-wide percentiles come from a merge at the end. *)
+     shard for the per-shard tails; the fleet-wide percentiles come from
+     a merge at the end. *)
   let latency_regs = Array.init cfg.shards (fun _ -> Obs.Metrics.create ()) in
   let latency_hists =
     Array.map (fun r -> Obs.Metrics.histogram r "latency_ns") latency_regs
   in
-  let svc =
-    Service.create ~shards ~latency:latency_hists ~domains:cfg.shard_domains
+  let service_all ~budget =
+    Array.iteri
+      (fun i s -> ignore (Shard.service s ~budget latency_hists.(i)))
+      shards
   in
-  (* [stop] is idempotent: the happy path retires the workers inside the
-     timed region below; this protect only covers exceptional exits. *)
-  Fun.protect ~finally:(fun () -> Service.stop svc) @@ fun () ->
-  let router = Router.create ~offer:(Service.offer svc) shards modules in
+  let router = Router.create shards modules in
   let offered = ref 0 in
   let incidents = ref 0 in
   let joins = ref 0 and leaves = ref 0 and crashes = ref 0 in
@@ -229,7 +222,7 @@ let run ?tick ?baselines cfg bugs =
     leaves := !leaves + batch.Traffic.leaves;
     crashes := !crashes + batch.Traffic.crashes;
     List.iter (Router.route router) batch.Traffic.packets;
-    Service.service_all svc ~budget:cfg.drain_per_tick;
+    service_all ~budget:cfg.drain_per_tick;
     match tick with
     | Some f ->
       f
@@ -250,13 +243,9 @@ let run ?tick ?baselines cfg bugs =
      the queues, but guard against a zero-budget misconfiguration). *)
   let guard = ref (cfg.queue_capacity * cfg.shards + 1) in
   while depth_total () > 0 && !guard > 0 do
-    Service.service_all svc ~budget:(max 1 cfg.drain_per_tick);
+    service_all ~budget:(max 1 cfg.drain_per_tick);
     decr guard
   done;
-  (* Retire the workers before timing ends: the join is part of the
-     service's cost, and after [stop] every shard is plain data again. *)
-  let domains_used = Service.domains svc in
-  Service.stop svc;
   let t_streamed = now () in
   let rows =
     List.concat
@@ -331,7 +320,6 @@ let run ?tick ?baselines cfg bugs =
     latency_p50_ns = Obs.Metrics.percentile fleet_hist ~p:50.0;
     latency_p99_ns = Obs.Metrics.percentile fleet_hist ~p:99.0;
     shard_latency;
-    domains_used;
     agree = List.for_all (fun r -> r.batch_agrees) rows;
     accounted;
     stream_ns;

@@ -7,11 +7,6 @@ type config = {
   endpoints : int;  (** initial fleet size *)
   duration_ticks : int;
   shards : int;
-  shard_domains : int;
-      (** worker domains for the {!Service} plane; 1 = inline
-          single-domain servicing (the historical behaviour).  Results
-          are byte-identical whatever the value — only wall-clock
-          changes. *)
   churn : bool;  (** per-tick join/leave/crash events *)
   fault : Chaos.Fault.cls option;  (** one chaos class over the whole stream *)
   seed : int;
@@ -21,8 +16,8 @@ type config = {
 }
 
 val default_config : config
-(** 32 endpoints, 48 ticks (two diurnal days), 4 shards, 1 domain, no
-    churn, no fault, seed 42, drop-oldest, capacity 256, budget 64. *)
+(** 32 endpoints, 48 ticks (two diurnal days), 4 shards, no churn, no
+    fault, seed 42, drop-oldest, capacity 256, budget 64. *)
 
 type progress = {
   p_tick : int;
@@ -96,9 +91,6 @@ type summary = {
       (** per-shard (p50, p99) of the same latency, one entry per shard
           — the tail of a hot shard is visible even when the fleet-wide
           percentile looks healthy *)
-  domains_used : int;
-      (** worker domains the service plane actually spawned (0 when
-          running inline) *)
   agree : bool;  (** every bucket's [batch_agrees] *)
   accounted : bool;
       (** offered = shed + drained + depth held per shard — the
@@ -113,8 +105,7 @@ val run :
   config ->
   Corpus.Bug.t list ->
   summary
-(** Raises [Invalid_argument] on a non-positive shard count, domain
-    count or duration (and whatever {!Traffic.create} raises).
-    [baselines] (from {!Traffic.prepare}) skips the per-bug reproduction
-    step — share one reproduction across runs when benchmarking the same
-    scenario at several domain counts. *)
+(** Raises [Invalid_argument] on a non-positive shard count or
+    duration (and whatever {!Traffic.create} raises).  [baselines] (from
+    {!Traffic.prepare}) skips the per-bug reproduction step — share one
+    reproduction across runs of the same scenario. *)

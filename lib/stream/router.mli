@@ -25,10 +25,9 @@ val create :
 (** [pending_cap] (default 64) bounds the held-success pool per bug.
     The modules table must be the one the shards share.  [offer]
     overrides how a routed packet reaches shard [idx] (default: direct
-    {!Shard.offer}) — the shard-per-domain {!Service} passes its channel
-    enqueue here so routing decisions stay on this domain while queue
-    mutations move to the owning worker.  Raises [Invalid_argument] on
-    an empty shard array or negative cap. *)
+    {!Shard.offer}) — a harness that wants to observe or time the
+    hand-off passes its own here.  Raises [Invalid_argument] on an
+    empty shard array or negative cap. *)
 
 val route : t -> bytes -> unit
 (** Route one packet, stamping its arrival time.  Total: malformed

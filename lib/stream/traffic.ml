@@ -105,36 +105,18 @@ let baseline_of bug (c : Corpus.Runner.collected) =
     runs_needed = c.Corpus.Runner.runs_needed;
   }
 
-(* The baseline corpus sweep: one simulator reproduction per bug, fanned
-   across a scoped pool.  Per-bug isolation: each lane runs with
-   sequential nested decode and a private telemetry context; results
-   merge in input order, and failure warnings are (re-)emitted on the
+(* The baseline corpus sweep: one simulator reproduction per bug, one
+   bug per {!Obs.Scope.sweep} lane.  Failure warnings are emitted on the
    coordinating domain, so the outcome is identical to the sequential
-   loop whatever the pool size. *)
+   loop whatever the lane count. *)
 let prepare ?(config = Pt.Config.default) ?jobs bugs =
   let arr = Array.of_list bugs in
   let n = Array.length arr in
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  let eff = min (min jobs (Domain.recommended_domain_count ())) n in
-  let collect bug = Corpus.Runner.collect bug ~pt_config:config ~seed_base:1 () in
   let results =
-    if eff <= 1 then Array.map collect arr
-    else begin
-      let telemetry = Obs.Scope.enabled () in
-      let out = Array.make n None in
-      let regs = Array.make n None in
-      Pool.with_pool ~jobs:eff (fun pool ->
-          Pool.run pool n (fun i ->
-              Pool.with_default_jobs 1 @@ fun () ->
-              if telemetry then begin
-                let c = Obs.Scope.make () in
-                regs.(i) <- Some c.Obs.Scope.metrics;
-                Obs.Scope.using c (fun () -> out.(i) <- Some (collect arr.(i)))
-              end
-              else out.(i) <- Some (collect arr.(i))));
-      Array.iter (Option.iter Obs.Scope.merge_worker) regs;
-      Array.map (function Some r -> r | None -> assert false) out
-    end
+    Obs.Scope.sweep ~jobs
+      (fun _ bug -> Corpus.Runner.collect bug ~pt_config:config ~seed_base:1 ())
+      arr
   in
   List.filter_map
     (fun i ->

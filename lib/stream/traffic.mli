@@ -27,7 +27,16 @@ type batch = {
 val diurnal_period : int
 (** Ticks per simulated "day" (24). *)
 
-type baseline
+type baseline = private {
+  bug : Corpus.Bug.t;
+  b_failing :
+    (Snorlax_core.Report.failing_report * int * Corpus.Runner.sync_profile)
+    list;  (** kept failing reports with their seeds and sync profiles *)
+  b_success :
+    (Snorlax_core.Report.success_report * int * Corpus.Runner.sync_profile)
+    list;
+  runs_needed : int;
+}
 (** One bug's reproduced reports, ready to re-envelope per incident. *)
 
 val prepare :
@@ -38,8 +47,7 @@ val prepare :
     sequential).  Results keep input order and bugs that fail to
     reproduce are dropped with a [stream/baseline_failed] warning, so
     the output is identical to a sequential loop.  Prepared baselines
-    can feed several {!create} calls — e.g. a 1-domain and a 4-domain
-    run of the same scenario sharing one reproduction. *)
+    can feed several {!create} calls sharing one reproduction. *)
 
 val create :
   seed:int ->

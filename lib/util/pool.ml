@@ -217,8 +217,8 @@ let with_pool ~jobs f =
 
 let default = Atomic.make (Domain.recommended_domain_count ())
 
-(* Per-domain override of the process default: a sweep or shard worker
-   that is itself one lane of a fan-out wraps its work in
+(* Per-domain override of the process default: a sweep item that is
+   itself one lane of a fan-out wraps its work in
    [with_default_jobs 1], and every nested [process ?jobs:None] call it
    makes resolves to sequential decode instead of fighting over (or
    double-submitting into) the shared pool from multiple domains. *)

@@ -16,9 +16,9 @@
     yet claimed (items already running on other domains still finish),
     and the exception is re-raised by {!run}/{!await}.
 
-    Batch functions must not touch domain-unsafe global state — record
-    telemetry into a chunk-private {!Obs.Metrics} registry (or a private
-    scope installed with [Obs.Scope.using]) and fold it back on the
+    Batch functions must not touch domain-unsafe global state.
+    Per-item sweeps should go through [Obs.Scope.sweep], which gives
+    each item a private telemetry scope and folds it back on the
     submitting domain after the batch returns. *)
 
 type t
@@ -97,8 +97,8 @@ val set_default_jobs : int -> unit
 
 val with_default_jobs : int -> (unit -> 'a) -> 'a
 (** Run [f] with {!default_jobs} pinned to [max 1 n] {e on the calling
-    domain only}, restoring the previous override afterwards.  Sweep and
-    shard workers wrap their work in [with_default_jobs 1] so nested
+    domain only}, restoring the previous override afterwards.  Sweep
+    lanes ([Obs.Scope.sweep]) run under [with_default_jobs 1] so nested
     decode/diagnosis stays sequential inside each lane instead of
     contending for the shared pool from multiple domains. *)
 

@@ -272,6 +272,59 @@ let test_scope_records () =
            (fun s -> s.Obs.Span.name)
            (Obs.Span.spans ctx.Obs.Scope.trace)))
 
+let sweep_item i x =
+  Obs.Scope.count "sweep/items" 1;
+  Obs.Scope.count "sweep/sum" x;
+  (i, x * x)
+
+let test_scope_sweep_order_and_raise () =
+  let items = Array.init 9 (fun i -> i + 1) in
+  Alcotest.(check (array (pair int int)))
+    "results in input order"
+    (Array.mapi (fun i x -> (i, x * x)) items)
+    (Obs.Scope.sweep ~jobs:4 sweep_item items);
+  Alcotest.check_raises "an item's exception is re-raised" (Failure "item 5")
+    (fun () ->
+      ignore
+        (Obs.Scope.sweep ~jobs:2
+           (fun i _ -> if i = 5 then failwith "item 5")
+           items))
+
+let test_scope_sweep_merges_telemetry () =
+  let items = Array.init 9 (fun i -> i + 1) in
+  let totals jobs =
+    let c = Obs.Scope.make () in
+    Obs.Scope.using c (fun () ->
+        ignore (Obs.Scope.sweep ~jobs sweep_item items));
+    List.map
+      (Obs.Metrics.find_counter c.Obs.Scope.metrics)
+      [ "sweep/items"; "sweep/sum" ]
+  in
+  let seq = totals 1 in
+  Alcotest.(check (list (option int)))
+    "sequential totals" [ Some 9; Some 45 ] seq;
+  Alcotest.(check (list (option int))) "parallel totals equal sequential" seq
+    (totals 2)
+
+let test_scope_sweep_one_lane_inline () =
+  let self = Domain.self () in
+  let c = Obs.Scope.make () in
+  let seen =
+    Obs.Scope.using c (fun () ->
+        Obs.Scope.sweep ~jobs:1
+          (fun _ _ ->
+            ( Domain.self () = self,
+              match Obs.Scope.current () with
+              | Some c' -> c' == c
+              | None -> false ))
+          [| (); (); () |])
+  in
+  Array.iter
+    (fun (same_domain, same_scope) ->
+      Alcotest.(check bool) "runs on the calling domain" true same_domain;
+      Alcotest.(check bool) "sees the ambient scope" true same_scope)
+    seen
+
 (* --- pipeline instrumentation ------------------------------------------- *)
 
 let diagnose_quick () =
@@ -941,6 +994,12 @@ let tests =
       [
         Alcotest.test_case "noop when disabled" `Quick test_scope_noop_when_disabled;
         Alcotest.test_case "records" `Quick test_scope_records;
+        Alcotest.test_case "sweep keeps order, re-raises" `Quick
+          test_scope_sweep_order_and_raise;
+        Alcotest.test_case "sweep merges lane telemetry" `Quick
+          test_scope_sweep_merges_telemetry;
+        Alcotest.test_case "sweep with one lane runs inline" `Quick
+          test_scope_sweep_one_lane_inline;
       ] );
     ( "obs.pipeline",
       [

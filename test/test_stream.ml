@@ -434,75 +434,49 @@ let test_stream_all_fault_classes () =
       check_clean name s)
     Chaos.Fault.all
 
-let test_stream_churn_parallel_identical () =
-  (* The service-plane determinism claim: one worker domain per shard
-     must replay exactly the inline per-shard operation sequence, so a
-     seeded churn scenario produces byte-identical results whatever the
-     domain count.  One baseline reproduction shared across both runs —
-     prepare is the expensive part and must not differ either. *)
+let test_stream_churn_rerun_identical () =
+  (* A seeded churn scenario is a pure function of its seed: a rerun over
+     the same baselines — its decodes now warm in the shared cache —
+     produces the same bucket table and accounting, and every shard
+     reports its own latency tail. *)
   let bug, _ = Lazy.force fixture in
   let cfg =
     { small_cfg with Deploy.churn = true; duration_ticks = 24; seed = 11 }
   in
   let baselines = Traffic.prepare [ bug ] in
-  let inline =
-    Deploy.run ~baselines { cfg with Deploy.shard_domains = 1 } [ bug ]
-  in
-  let par =
-    Deploy.run ~baselines { cfg with Deploy.shard_domains = 4 } [ bug ]
-  in
-  check_clean "churn inline" inline;
-  check_clean "churn 4 domains" par;
-  Alcotest.(check int) "inline mode spawned no workers" 0
-    inline.Deploy.domains_used;
-  Alcotest.(check bool) "parallel mode spawned workers" true
-    (par.Deploy.domains_used >= 1);
-  Alcotest.(check bool) "bucket tables identical across domain counts" true
-    (inline.Deploy.rows = par.Deploy.rows);
-  Alcotest.(check int) "offered identical" inline.Deploy.offered
-    par.Deploy.offered;
-  Alcotest.(check int) "shed identical" inline.Deploy.shed par.Deploy.shed;
-  Alcotest.(check int) "drained identical" inline.Deploy.drained
-    par.Deploy.drained;
+  let first = Deploy.run ~baselines cfg [ bug ] in
+  let again = Deploy.run ~baselines cfg [ bug ] in
+  check_clean "churn" first;
+  check_clean "churn rerun" again;
+  Alcotest.(check bool) "bucket tables identical across reruns" true
+    (first.Deploy.rows = again.Deploy.rows);
+  Alcotest.(check (list int))
+    "offered / shed / drained identical"
+    [ first.Deploy.offered; first.Deploy.shed; first.Deploy.drained ]
+    [ again.Deploy.offered; again.Deploy.shed; again.Deploy.drained ];
   Alcotest.(check int) "one latency pair per shard" cfg.Deploy.shards
-    (Array.length par.Deploy.shard_latency);
+    (Array.length first.Deploy.shard_latency);
   Array.iter
     (fun (p50, p99) ->
       Alcotest.(check bool) "per-shard p99 >= p50 >= 0" true
         (p99 >= p50 && p50 >= 0.0))
-    par.Deploy.shard_latency
+    first.Deploy.shard_latency
 
-let test_stream_fault_classes_parallel_identical () =
-  (* Every chaos fault class, inline vs shard-per-domain: same seeded
-     scenario, same bucket table and accounting totals. *)
-  let bug, _ = Lazy.force fixture in
-  let baselines = Traffic.prepare [ bug ] in
-  List.iter
-    (fun cls ->
-      let name = Chaos.Fault.name cls in
-      let cfg =
-        {
-          small_cfg with
-          Deploy.endpoints = 4;
-          duration_ticks = 6;
-          fault = Some cls;
-          seed = 5;
-        }
-      in
-      let inline =
-        Deploy.run ~baselines { cfg with Deploy.shard_domains = 1 } [ bug ]
-      in
-      let par =
-        Deploy.run ~baselines { cfg with Deploy.shard_domains = 4 } [ bug ]
-      in
-      check_clean (name ^ " under 4 domains") par;
-      Alcotest.(check bool)
-        (name ^ ": rows identical across domain counts")
-        true
-        (inline.Deploy.rows = par.Deploy.rows);
-      Alcotest.(check int) (name ^ ": shed identical") inline.Deploy.shed
-        par.Deploy.shed)
-    Chaos.Fault.all
+let test_prepare_lanes_identical () =
+  (* [prepare] fans bugs across sweep lanes; two lanes must hand back
+     exactly the baselines one lane does, in input order. *)
+  let bugs =
+    List.filter_map Corpus.Registry.find [ "pbzip2-1"; "aget-1"; "mysql-1" ]
+  in
+  let view (b : Traffic.baseline) =
+    (b.Traffic.bug.Corpus.Bug.id, b.Traffic.b_failing, b.Traffic.b_success,
+     b.Traffic.runs_needed)
+  in
+  let seq = List.map view (Traffic.prepare ~jobs:1 bugs) in
+  let par = List.map view (Traffic.prepare ~jobs:2 bugs) in
+  Alcotest.(check int) "every bug reproduced" (List.length bugs)
+    (List.length seq);
+  Alcotest.(check bool) "baselines identical at 1 and 2 lanes" true (seq = par)
 
 let test_stream_rejects_bad_config () =
   let bug, _ = Lazy.force fixture in
@@ -511,10 +485,7 @@ let test_stream_rejects_bad_config () =
       ignore (Deploy.run { small_cfg with Deploy.shards = 0 } [ bug ]));
   Alcotest.check_raises "duration < 1"
     (Invalid_argument "Stream.Deploy.run: duration_ticks < 1") (fun () ->
-      ignore (Deploy.run { small_cfg with Deploy.duration_ticks = 0 } [ bug ]));
-  Alcotest.check_raises "shard_domains < 1"
-    (Invalid_argument "Stream.Deploy.run: shard_domains < 1") (fun () ->
-      ignore (Deploy.run { small_cfg with Deploy.shard_domains = 0 } [ bug ]))
+      ignore (Deploy.run { small_cfg with Deploy.duration_ticks = 0 } [ bug ]))
 
 let tests =
   [
@@ -551,6 +522,8 @@ let tests =
           test_traffic_deterministic;
         Alcotest.test_case "diurnal load produces traffic" `Quick
           test_traffic_diurnal_produces_load;
+        Alcotest.test_case "prepare: 2 lanes equal 1 lane" `Quick
+          test_prepare_lanes_identical;
       ] );
     ( "stream.deploy",
       [
@@ -562,10 +535,8 @@ let tests =
           test_stream_churn;
         Alcotest.test_case "all nine fault classes pass" `Quick
           test_stream_all_fault_classes;
-        Alcotest.test_case "churn identical across domain counts" `Quick
-          test_stream_churn_parallel_identical;
-        Alcotest.test_case "fault classes identical across domain counts"
-          `Quick test_stream_fault_classes_parallel_identical;
+        Alcotest.test_case "churn reruns identically" `Quick
+          test_stream_churn_rerun_identical;
         Alcotest.test_case "bad config rejected" `Quick
           test_stream_rejects_bad_config;
       ] );
