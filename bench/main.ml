@@ -203,33 +203,36 @@ let emit_pipeline_trace () =
 
 (* A small simulated deployment, summarized as JSON: how many bytes the
    wire format needs, how well signature dedup collapses the fleet's
-   reports, and how long the cross-endpoint diagnosis takes. *)
+   reports, and how long the cross-endpoint diagnosis takes.  The run is
+   the stream loop's one-shot form, so [collect_ns] is its tick loop
+   (endpoint runs, routing, ingest and incremental diagnosis) and the
+   latency is router arrival to the refresh that folds a report in. *)
 let emit_fleet_bench () =
-  let bug = Corpus.Registry.find_exn "pbzip2-1" in
-  let s = Fleet.Deploy.run ~endpoints:6 [ bug ] in
+  let bugs = [ Corpus.Registry.find_exn "pbzip2-1" ] in
+  let s = Stream.Deploy.run_once ~endpoints:6 bugs in
   let top_f1, rc_match =
-    match s.Fleet.Deploy.rows with
-    | r :: _ -> (r.Fleet.Deploy.f1, r.Fleet.Deploy.root_cause_match)
+    match s.Stream.Deploy.rows with
+    | r :: _ -> (r.Stream.Deploy.f1, r.Stream.Deploy.root_cause_match)
     | [] -> (0.0, false)
   in
   let json =
     Obs.Json.Obj
       [
-        ("endpoints", Obs.Json.Int s.Fleet.Deploy.endpoints);
-        ("scenarios", Obs.Json.Int s.Fleet.Deploy.scenarios);
-        ("reports_shipped", Obs.Json.Int s.Fleet.Deploy.shipped);
-        ("wire_bytes", Obs.Json.Int s.Fleet.Deploy.wire_bytes);
-        ("buckets", Obs.Json.Int s.Fleet.Deploy.bucket_count);
-        ("dedup_ratio", Obs.Json.Float s.Fleet.Deploy.dedup_ratio);
-        ("decode_errors", Obs.Json.Int s.Fleet.Deploy.decode_errors);
-        ("unrouted", Obs.Json.Int s.Fleet.Deploy.unrouted);
-        ("collect_ns", Obs.Json.Float s.Fleet.Deploy.collect_ns);
-        ("diagnosis_ns", Obs.Json.Float s.Fleet.Deploy.diagnosis_ns);
-        ("total_ns", Obs.Json.Float s.Fleet.Deploy.total_ns);
+        ("endpoints", Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.endpoints);
+        ("scenarios", Obs.Json.Int (List.length bugs));
+        ("reports_shipped", Obs.Json.Int s.Stream.Deploy.offered);
+        ("wire_bytes", Obs.Json.Int s.Stream.Deploy.wire_bytes);
+        ("buckets", Obs.Json.Int s.Stream.Deploy.bucket_count);
+        ("dedup_ratio", Obs.Json.Float s.Stream.Deploy.dedup_ratio);
+        ("decode_errors", Obs.Json.Int s.Stream.Deploy.decode_errors);
+        ("unrouted", Obs.Json.Int s.Stream.Deploy.unrouted);
+        ("collect_ns", Obs.Json.Float s.Stream.Deploy.stream_ns);
+        ("diagnosis_ns", Obs.Json.Float s.Stream.Deploy.diagnosis_ns);
+        ("total_ns", Obs.Json.Float s.Stream.Deploy.total_ns);
         ( "report_to_diagnosis_p50_ns",
-          Obs.Json.Float s.Fleet.Deploy.latency_p50_ns );
+          Obs.Json.Float s.Stream.Deploy.latency_p50_ns );
         ( "report_to_diagnosis_p99_ns",
-          Obs.Json.Float s.Fleet.Deploy.latency_p99_ns );
+          Obs.Json.Float s.Stream.Deploy.latency_p99_ns );
         ("top_f1", Obs.Json.Float top_f1);
         ("root_cause_match", Obs.Json.Bool rc_match);
       ]

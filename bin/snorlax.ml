@@ -3,6 +3,7 @@
 
 open Cmdliner
 module Core = Snorlax_core
+module Deploy = Stream.Deploy
 
 let list_bugs () =
   let t =
@@ -132,6 +133,28 @@ let apply_decode_opts jobs cache =
   Option.iter Snorlax_util.Pool.set_default_jobs jobs;
   Option.iter (Pt.Decode_cache.set_capacity Pt.Decode_cache.shared) cache
 
+let usage_error msg =
+  Printf.eprintf "%s\n" msg;
+  1
+
+(* [--bug ID] or [--all]; [all_set] is the list [--all] stands for. *)
+let select_bugs ~all_set bug_id all =
+  match (bug_id, all) with
+  | _, true -> Ok all_set
+  | Some id, false -> (
+    match Corpus.Registry.find id with
+    | Some bug -> Ok [ bug ]
+    | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
+  | None, false -> Error "pass --bug ID or --all"
+
+let fault_of_name n =
+  match Chaos.Fault.of_name n with
+  | Some c -> Ok c
+  | None ->
+    Error
+      (Printf.sprintf "unknown fault class %s (one of: %s)" n
+         (String.concat ", " (List.map Chaos.Fault.name Chaos.Fault.all)))
+
 let diagnose_bug id verbose decode_jobs decode_cache obs =
   apply_decode_opts decode_jobs decode_cache;
   if not (setup_obs obs) then 1
@@ -197,8 +220,7 @@ let diagnose_bug id verbose decode_jobs decode_cache obs =
       end;
       if emit_obs obs then 0 else 1)
 
-let watch_tick (p : Fleet.Deploy.progress) =
-  Printf.printf "%s\n%!" (Fleet.Deploy.watch_line p)
+let watch_tick p = Printf.printf "%s\n%!" (Deploy.watch_line p)
 
 let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
   apply_decode_opts decode_jobs decode_cache;
@@ -207,26 +229,15 @@ let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
   (* --watch reads stage percentiles out of the ambient registry, so it
      needs the scope even when no export flag asked for one. *)
   if watch && not (Obs.Scope.enabled ()) then ignore (Obs.Scope.enable ());
-  let bugs =
-    match (bug_id, all) with
-    | _, true -> Ok Corpus.Registry.eval_set
-    | Some id, false -> (
-      match Corpus.Registry.find id with
-      | Some bug -> Ok [ bug ]
-      | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-    | None, false -> Error "pass --bug ID or --all"
-  in
-  match bugs with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    1
+  match select_bugs ~all_set:Corpus.Registry.eval_set bug_id all with
+  | Error msg -> usage_error msg
   | Ok bugs ->
     Printf.printf
       "Deploying %d endpoints x %d scenario%s; collecting wire reports...\n%!"
       n_endpoints (List.length bugs)
       (if List.length bugs = 1 then "" else "s");
     let tick = if watch then Some watch_tick else None in
-    let s = Fleet.Deploy.run ?tick ~endpoints:n_endpoints bugs in
+    let s = Deploy.run_once ?tick ~endpoints:n_endpoints bugs in
     let t =
       Snorlax_util.Tablefmt.create
         ~headers:
@@ -236,90 +247,75 @@ let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
           ]
     in
     List.iter
-      (fun (r : Fleet.Deploy.bucket_row) ->
+      (fun (r : Deploy.bucket_row) ->
         Snorlax_util.Tablefmt.add_row t
           [
-            r.Fleet.Deploy.bug_id;
-            r.Fleet.Deploy.signature;
-            string_of_int r.Fleet.Deploy.endpoints_hit;
-            Printf.sprintf "%d/%d" r.Fleet.Deploy.failing_kept
-              r.Fleet.Deploy.failing_dropped;
-            Printf.sprintf "%d/%d" r.Fleet.Deploy.success_kept
-              r.Fleet.Deploy.success_dropped;
-            string_of_int r.Fleet.Deploy.wire_bytes;
-            Option.value ~default:"-" r.Fleet.Deploy.top_pattern;
-            Printf.sprintf "%.2f" r.Fleet.Deploy.f1;
-            (if r.Fleet.Deploy.top_pattern = None then "-"
-             else if r.Fleet.Deploy.root_cause_match then
-               Printf.sprintf "match (A_O %.0f%%)" r.Fleet.Deploy.ordering_accuracy
+            r.Deploy.bug_id;
+            r.Deploy.signature;
+            string_of_int r.Deploy.endpoints_hit;
+            Printf.sprintf "%d/%d" r.Deploy.failing_kept r.Deploy.failing_dropped;
+            Printf.sprintf "%d/%d" r.Deploy.success_kept r.Deploy.success_dropped;
+            string_of_int r.Deploy.wire_bytes;
+            Option.value ~default:"-" r.Deploy.top_pattern;
+            Printf.sprintf "%.2f" r.Deploy.f1;
+            (if r.Deploy.top_pattern = None then "-"
+             else if r.Deploy.root_cause_match then
+               Printf.sprintf "match (A_O %.0f%%)" r.Deploy.ordering_accuracy
              else "MISMATCH");
           ])
-      s.Fleet.Deploy.rows;
+      s.Deploy.rows;
     Snorlax_util.Tablefmt.print t;
     List.iter
-      (fun (r : Fleet.Deploy.bucket_row) ->
-        (match r.Fleet.Deploy.top_describe with
+      (fun (r : Deploy.bucket_row) ->
+        (match r.Deploy.top_describe with
         | Some d ->
-          Printf.printf "\n%s (%s):\n%s\n" r.Fleet.Deploy.bug_id
-            r.Fleet.Deploy.signature d
+          Printf.printf "\n%s (%s):\n%s\n" r.Deploy.bug_id r.Deploy.signature d
         | None ->
-          Printf.printf "\n%s (%s): no pattern diagnosed\n"
-            r.Fleet.Deploy.bug_id r.Fleet.Deploy.signature);
+          Printf.printf "\n%s (%s): no pattern diagnosed\n" r.Deploy.bug_id
+            r.Deploy.signature);
         List.iter
           (fun q -> Printf.printf "  qualifier: %s\n" q)
-          r.Fleet.Deploy.qualifiers)
-      s.Fleet.Deploy.rows;
+          r.Deploy.qualifiers)
+      s.Deploy.rows;
     Printf.printf
       "\n%d packets (%d wire bytes) from %d endpoint(s); %d bucket(s), dedup \
        %.1f:1, %d decode error(s), %d unrouted; diagnosis %.1f ms of %.1f ms \
        total.\n"
-      s.Fleet.Deploy.shipped s.Fleet.Deploy.wire_bytes s.Fleet.Deploy.endpoints
-      s.Fleet.Deploy.bucket_count s.Fleet.Deploy.dedup_ratio
-      s.Fleet.Deploy.decode_errors s.Fleet.Deploy.unrouted
-      (s.Fleet.Deploy.diagnosis_ns /. 1e6)
-      (s.Fleet.Deploy.total_ns /. 1e6);
+      s.Deploy.offered s.Deploy.wire_bytes s.Deploy.cfg.Deploy.endpoints
+      s.Deploy.bucket_count s.Deploy.dedup_ratio s.Deploy.decode_errors
+      s.Deploy.unrouted
+      (s.Deploy.diagnosis_ns /. 1e6)
+      (s.Deploy.total_ns /. 1e6);
     Printf.printf "Report->diagnosis latency p50 %.1f ms, p99 %.1f ms.\n"
-      (s.Fleet.Deploy.latency_p50_ns /. 1e6)
-      (s.Fleet.Deploy.latency_p99_ns /. 1e6);
+      (s.Deploy.latency_p50_ns /. 1e6)
+      (s.Deploy.latency_p99_ns /. 1e6);
     let obs_ok = emit_obs obs in
     let diagnosed =
-      s.Fleet.Deploy.rows <> []
+      s.Deploy.rows <> []
       && List.for_all
-           (fun (r : Fleet.Deploy.bucket_row) ->
-             r.Fleet.Deploy.top_pattern <> None)
-           s.Fleet.Deploy.rows
+           (fun (r : Deploy.bucket_row) -> r.Deploy.top_pattern <> None)
+           s.Deploy.rows
     in
     if not diagnosed then Printf.eprintf "fleet: some bucket had no diagnosis\n";
-    if diagnosed && obs_ok then 0 else 1
+    (* The stream loop's own gate holds for the one-shot run too. *)
+    let gate =
+      s.Deploy.agree && s.Deploy.accounted && s.Deploy.leftover_queue = 0
+    in
+    if not gate then Printf.eprintf "fleet: gate failed\n";
+    if diagnosed && gate && obs_ok then 0 else 1
   end
 
 let chaos_run seeds n_endpoints bug_id all fault_name out obs =
   if not (setup_obs obs) then 1
   else
-  let bugs =
-    match (bug_id, all) with
-    | _, true -> Ok Corpus.Registry.eval_set
-    | Some id, false -> (
-      match Corpus.Registry.find id with
-      | Some bug -> Ok [ bug ]
-      | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-    | None, false -> Error "pass --bug ID or --all"
-  in
+  let bugs = select_bugs ~all_set:Corpus.Registry.eval_set bug_id all in
   let classes =
     match fault_name with
     | None -> Ok Chaos.Fault.all
-    | Some n -> (
-      match Chaos.Fault.of_name n with
-      | Some c -> Ok [ c ]
-      | None ->
-        Error
-          (Printf.sprintf "unknown fault class %s (one of: %s)" n
-             (String.concat ", " (List.map Chaos.Fault.name Chaos.Fault.all))))
+    | Some n -> Result.map (fun c -> [ c ]) (fault_of_name n)
   in
   match (bugs, classes) with
-  | Error msg, _ | _, Error msg ->
-    Printf.eprintf "%s\n" msg;
-    1
+  | Error msg, _ | _, Error msg -> usage_error msg
   | Ok bugs, Ok classes -> (
     Printf.printf
       "Chaos: %d seed(s) x %d fault class(es) x %d bug(s), %d endpoints \
@@ -379,45 +375,45 @@ let chaos_run seeds n_endpoints bug_id all fault_name out obs =
       let obs_ok = emit_obs obs in
       if Chaos.Harness.ok r && json_ok && obs_ok then 0 else 1)
 
-let stream_json (s : Stream.Deploy.summary) =
+let stream_json (s : Deploy.summary) =
   Obs.Json.Obj
     [
-      ("endpoints", Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.endpoints);
-      ("duration_ticks", Obs.Json.Int s.Stream.Deploy.ticks);
-      ("shards", Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.shards);
-      ("churn", Obs.Json.Bool s.Stream.Deploy.cfg.Stream.Deploy.churn);
+      ("endpoints", Obs.Json.Int s.Deploy.cfg.Deploy.endpoints);
+      ("duration_ticks", Obs.Json.Int s.Deploy.ticks);
+      ("shards", Obs.Json.Int s.Deploy.cfg.Deploy.shards);
+      ("churn", Obs.Json.Bool s.Deploy.cfg.Deploy.churn);
       ( "fault",
         Obs.Json.String
-          (match s.Stream.Deploy.cfg.Stream.Deploy.fault with
+          (match s.Deploy.cfg.Deploy.fault with
           | Some c -> Chaos.Fault.name c
           | None -> "none") );
       ( "shed_policy",
-        Obs.Json.String (Stream.Shard.shed_name s.Stream.Deploy.cfg.Stream.Deploy.shed) );
-      ("offered", Obs.Json.Int s.Stream.Deploy.offered);
-      ("shed", Obs.Json.Int s.Stream.Deploy.shed);
-      ("drained", Obs.Json.Int s.Stream.Deploy.drained);
-      ("ingested_ok", Obs.Json.Int s.Stream.Deploy.ingested_ok);
-      ("ingest_errors", Obs.Json.Int s.Stream.Deploy.ingest_errors);
-      ("tracker_malformed", Obs.Json.Int s.Stream.Deploy.tracker_malformed);
-      ("tracker_held", Obs.Json.Int s.Stream.Deploy.tracker_held);
-      ("tracker_dropped", Obs.Json.Int s.Stream.Deploy.tracker_dropped);
-      ("buckets", Obs.Json.Int s.Stream.Deploy.bucket_count);
-      ("incidents", Obs.Json.Int s.Stream.Deploy.incidents);
-      ("joins", Obs.Json.Int s.Stream.Deploy.joins);
-      ("leaves", Obs.Json.Int s.Stream.Deploy.leaves);
-      ("crashes", Obs.Json.Int s.Stream.Deploy.crashes);
-      ("final_endpoints", Obs.Json.Int s.Stream.Deploy.final_endpoints);
-      ("inject_faults", Obs.Json.Int s.Stream.Deploy.inject_faults);
-      ("peak_queue_depth", Obs.Json.Int s.Stream.Deploy.peak_queue_depth);
-      ("watermark_highs", Obs.Json.Int s.Stream.Deploy.watermark_highs);
-      ("rederives", Obs.Json.Int s.Stream.Deploy.rederives);
-      ("fast_updates", Obs.Json.Int s.Stream.Deploy.fast_updates);
-      ("reports_per_sec", Obs.Json.Float s.Stream.Deploy.reports_per_sec);
-      ("shed_ratio", Obs.Json.Float s.Stream.Deploy.shed_ratio);
+        Obs.Json.String (Stream.Shard.shed_name s.Deploy.cfg.Deploy.shed) );
+      ("offered", Obs.Json.Int s.Deploy.offered);
+      ("shed", Obs.Json.Int s.Deploy.shed);
+      ("drained", Obs.Json.Int s.Deploy.drained);
+      ("ingested_ok", Obs.Json.Int s.Deploy.ingested_ok);
+      ("ingest_errors", Obs.Json.Int s.Deploy.ingest_errors);
+      ("tracker_malformed", Obs.Json.Int s.Deploy.tracker_malformed);
+      ("tracker_held", Obs.Json.Int s.Deploy.tracker_held);
+      ("tracker_dropped", Obs.Json.Int s.Deploy.tracker_dropped);
+      ("buckets", Obs.Json.Int s.Deploy.bucket_count);
+      ("incidents", Obs.Json.Int s.Deploy.incidents);
+      ("joins", Obs.Json.Int s.Deploy.joins);
+      ("leaves", Obs.Json.Int s.Deploy.leaves);
+      ("crashes", Obs.Json.Int s.Deploy.crashes);
+      ("final_endpoints", Obs.Json.Int s.Deploy.final_endpoints);
+      ("inject_faults", Obs.Json.Int s.Deploy.inject_faults);
+      ("peak_queue_depth", Obs.Json.Int s.Deploy.peak_queue_depth);
+      ("watermark_highs", Obs.Json.Int s.Deploy.watermark_highs);
+      ("rederives", Obs.Json.Int s.Deploy.rederives);
+      ("fast_updates", Obs.Json.Int s.Deploy.fast_updates);
+      ("reports_per_sec", Obs.Json.Float s.Deploy.reports_per_sec);
+      ("shed_ratio", Obs.Json.Float s.Deploy.shed_ratio);
       ( "report_to_diagnosis_p50_ns",
-        Obs.Json.Float s.Stream.Deploy.latency_p50_ns );
+        Obs.Json.Float s.Deploy.latency_p50_ns );
       ( "report_to_diagnosis_p99_ns",
-        Obs.Json.Float s.Stream.Deploy.latency_p99_ns );
+        Obs.Json.Float s.Deploy.latency_p99_ns );
       ( "shard_latency",
         Obs.Json.List
           (Array.to_list
@@ -429,11 +425,11 @@ let stream_json (s : Stream.Deploy.summary) =
                       ("queue_wait_p50_ns", Obs.Json.Float p50);
                       ("queue_wait_p99_ns", Obs.Json.Float p99);
                     ])
-                s.Stream.Deploy.shard_latency)) );
-      ("incremental_agrees_batch", Obs.Json.Bool s.Stream.Deploy.agree);
-      ("accounted", Obs.Json.Bool s.Stream.Deploy.accounted);
-      ("stream_ns", Obs.Json.Float s.Stream.Deploy.stream_ns);
-      ("total_ns", Obs.Json.Float s.Stream.Deploy.total_ns);
+                s.Deploy.shard_latency)) );
+      ("incremental_agrees_batch", Obs.Json.Bool s.Deploy.agree);
+      ("accounted", Obs.Json.Bool s.Deploy.accounted);
+      ("stream_ns", Obs.Json.Float s.Deploy.stream_ns);
+      ("total_ns", Obs.Json.Float s.Deploy.total_ns);
     ]
 
 let stream_run n_endpoints ticks n_shards churn fault_name
@@ -442,26 +438,11 @@ let stream_run n_endpoints ticks n_shards churn fault_name
   if not (setup_obs obs) then 1
   else begin
     if watch && not (Obs.Scope.enabled ()) then ignore (Obs.Scope.enable ());
-    let bugs =
-      match (bug_id, all) with
-      | _, true -> Ok Corpus.Registry.eval_set
-      | Some id, false -> (
-        match Corpus.Registry.find id with
-        | Some bug -> Ok [ bug ]
-        | None ->
-          Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-      | None, false -> Error "pass --bug ID or --all"
-    in
+    let bugs = select_bugs ~all_set:Corpus.Registry.eval_set bug_id all in
     let fault =
       match fault_name with
       | None -> Ok None
-      | Some n -> (
-        match Chaos.Fault.of_name n with
-        | Some c -> Ok (Some c)
-        | None ->
-          Error
-            (Printf.sprintf "unknown fault class %s (one of: %s)" n
-               (String.concat ", " (List.map Chaos.Fault.name Chaos.Fault.all))))
+      | Some n -> Result.map Option.some (fault_of_name n)
     in
     let shed =
       match Stream.Shard.shed_of_name shed_str with
@@ -472,14 +453,12 @@ let stream_run n_endpoints ticks n_shards churn fault_name
              shed_str)
     in
     match (bugs, fault, shed) with
-    | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
-      Printf.eprintf "%s\n" msg;
-      1
+    | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> usage_error msg
     | Ok bugs, Ok fault, Ok shed ->
       let cfg =
         {
-          Stream.Deploy.default_config with
-          Stream.Deploy.endpoints = n_endpoints;
+          Deploy.default_config with
+          Deploy.endpoints = n_endpoints;
           duration_ticks = ticks;
           shards = n_shards;
           churn;
@@ -495,13 +474,8 @@ let stream_run n_endpoints ticks n_shards churn fault_name
         (if List.length bugs = 1 then "" else "s")
         ticks n_shards
         (if n_shards = 1 then "" else "s");
-      let tick =
-        if watch then
-          Some
-            (fun p -> Printf.printf "%s\n%!" (Stream.Deploy.watch_line p))
-        else None
-      in
-      let s = Stream.Deploy.run ?tick cfg bugs in
+      let tick = if watch then Some watch_tick else None in
+      let s = Deploy.run ?tick cfg bugs in
       let t =
         Snorlax_util.Tablefmt.create
           ~headers:
@@ -511,43 +485,43 @@ let stream_run n_endpoints ticks n_shards churn fault_name
             ]
       in
       List.iter
-        (fun (r : Stream.Deploy.bucket_row) ->
+        (fun (r : Deploy.bucket_row) ->
           Snorlax_util.Tablefmt.add_row t
             [
-              string_of_int r.Stream.Deploy.shard;
-              r.Stream.Deploy.bug_id;
-              r.Stream.Deploy.signature;
-              string_of_int r.Stream.Deploy.failing_kept;
-              string_of_int r.Stream.Deploy.success_kept;
-              Option.value ~default:"-" r.Stream.Deploy.top_pattern;
-              Printf.sprintf "%.2f" r.Stream.Deploy.f1;
-              (if r.Stream.Deploy.root_cause_match then "match" else "MISS");
-              string_of_int r.Stream.Deploy.rederives;
-              string_of_int r.Stream.Deploy.fast_updates;
-              (if r.Stream.Deploy.batch_agrees then "yes" else "NO");
+              string_of_int r.Deploy.shard;
+              r.Deploy.bug_id;
+              r.Deploy.signature;
+              string_of_int r.Deploy.failing_kept;
+              string_of_int r.Deploy.success_kept;
+              Option.value ~default:"-" r.Deploy.top_pattern;
+              Printf.sprintf "%.2f" r.Deploy.f1;
+              (if r.Deploy.root_cause_match then "match" else "MISS");
+              string_of_int r.Deploy.rederives;
+              string_of_int r.Deploy.fast_updates;
+              (if r.Deploy.batch_agrees then "yes" else "NO");
             ])
-        s.Stream.Deploy.rows;
+        s.Deploy.rows;
       Snorlax_util.Tablefmt.print t;
       Printf.printf
         "\n%d packets offered, %d shed (%.1f%%), %d drained; peak queue %d, \
          %d high-watermark crossing(s).\n"
-        s.Stream.Deploy.offered s.Stream.Deploy.shed
-        (100.0 *. s.Stream.Deploy.shed_ratio)
-        s.Stream.Deploy.drained s.Stream.Deploy.peak_queue_depth
-        s.Stream.Deploy.watermark_highs;
+        s.Deploy.offered s.Deploy.shed
+        (100.0 *. s.Deploy.shed_ratio)
+        s.Deploy.drained s.Deploy.peak_queue_depth
+        s.Deploy.watermark_highs;
       Printf.printf
         "%d incidents from %d->%d endpoints (+%d joins, -%d leaves, -%d \
          crashes); %d buckets, %d re-derives / %d fast updates.\n"
-        s.Stream.Deploy.incidents n_endpoints s.Stream.Deploy.final_endpoints
-        s.Stream.Deploy.joins s.Stream.Deploy.leaves s.Stream.Deploy.crashes
-        s.Stream.Deploy.bucket_count s.Stream.Deploy.rederives
-        s.Stream.Deploy.fast_updates;
+        s.Deploy.incidents n_endpoints s.Deploy.final_endpoints
+        s.Deploy.joins s.Deploy.leaves s.Deploy.crashes
+        s.Deploy.bucket_count s.Deploy.rederives
+        s.Deploy.fast_updates;
       Printf.printf
         "Sustained %.0f reports/s; report->diagnosis latency p50 %.1f ms, \
          p99 %.1f ms.\n"
-        s.Stream.Deploy.reports_per_sec
-        (s.Stream.Deploy.latency_p50_ns /. 1e6)
-        (s.Stream.Deploy.latency_p99_ns /. 1e6);
+        s.Deploy.reports_per_sec
+        (s.Deploy.latency_p50_ns /. 1e6)
+        (s.Deploy.latency_p99_ns /. 1e6);
       let json_ok = write_json out (stream_json s) in
       if json_ok then Printf.printf "Stream bench written to %s\n" out;
       let obs_ok = emit_obs obs in
@@ -555,9 +529,9 @@ let stream_run n_endpoints ticks n_shards churn fault_name
          accounting reconciles, nothing left in the queues, and — absent
          injected faults — the fleet's failures were actually diagnosed. *)
       let gate =
-        s.Stream.Deploy.agree && s.Stream.Deploy.accounted
-        && s.Stream.Deploy.leftover_queue = 0
-        && (fault <> None || s.Stream.Deploy.bucket_count > 0)
+        s.Deploy.agree && s.Deploy.accounted
+        && s.Deploy.leftover_queue = 0
+        && (fault <> None || s.Deploy.bucket_count > 0)
       in
       if not gate then Printf.eprintf "stream: gate failed\n";
       if gate && json_ok && obs_ok then 0 else 1
@@ -776,19 +750,8 @@ let oracle_run bug_id all out decode_jobs decode_cache obs =
   apply_decode_opts decode_jobs decode_cache;
   if not (setup_obs obs) then 1
   else
-  let bugs =
-    match (bug_id, all) with
-    | _, true -> Ok Corpus.Registry.all
-    | Some id, false -> (
-      match Corpus.Registry.find id with
-      | Some bug -> Ok [ bug ]
-      | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-    | None, false -> Error "pass --bug ID or --all"
-  in
-  match bugs with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    1
+  match select_bugs ~all_set:Corpus.Registry.all bug_id all with
+  | Error msg -> usage_error msg
   | Ok bugs ->
     Printf.printf
       "Cross-checking %d bug(s): diagnosis pipeline vs happens-before \
@@ -877,19 +840,8 @@ let fix_run bug_id all seeds jobs min_fix_rate out decode_jobs decode_cache obs
   apply_decode_opts decode_jobs decode_cache;
   if not (setup_obs obs) then 1
   else
-  let bugs =
-    match (bug_id, all) with
-    | _, true -> Ok Corpus.Registry.all
-    | Some id, false -> (
-      match Corpus.Registry.find id with
-      | Some bug -> Ok [ bug ]
-      | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-    | None, false -> Error "pass --bug ID or --all"
-  in
-  match bugs with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    1
+  match select_bugs ~all_set:Corpus.Registry.all bug_id all with
+  | Error msg -> usage_error msg
   | Ok bugs ->
     Printf.printf
       "Synthesizing and validating patches for %d bug(s) (%d-seed oracle \

@@ -22,8 +22,9 @@ echo "== fleet smoke =="
 fleet_out=$(dune exec bin/snorlax.exe -- fleet --endpoints 4 --bug pbzip2-1 \
   --metrics-text /tmp/snorlax_metrics.txt)
 echo "$fleet_out"
-# The exit status already guards "every bucket diagnosed"; also assert the
-# output names a concrete root-cause pattern.
+# The exit status already guards "every bucket diagnosed" and the stream
+# loop's gate (incremental == batch, accounting reconciles, nothing left
+# queued); also assert the output names a concrete root-cause pattern.
 echo "$fleet_out" | grep -Eq "violation|deadlock" || {
   echo "fleet smoke: no diagnosis output"
   exit 1
@@ -97,7 +98,7 @@ echo "== stream bench =="
 dune exec bench/main.exe -- --stream-only
 
 echo "== fleet bench gate =="
-# Re-emit the batch-fleet benchmark and gate it against the newest
+# Re-emit the one-shot fleet benchmark and gate it against the newest
 # archived snapshot.  The threshold is generous: these are wall-clock
 # numbers from a shared CI box, so only order-of-magnitude regressions
 # (e.g. an accidentally quadratic ingest path) should trip it.

@@ -16,11 +16,6 @@ type prov_sample = {
 
 let prov_cap = 512
 
-(* Arrival stamps (wall-clock ns) of every report routed to the bucket,
-   capped; the report->diagnosis latency histogram reads these when the
-   bucket is finally diagnosed. *)
-let arrival_cap = 1024
-
 type bucket = {
   signature : Signature.t;
   config : Pt.Config.t;
@@ -35,7 +30,6 @@ type bucket = {
   mutable wire_bytes : int;
   mutable failing_prov_rev : prov_sample list;
   mutable success_prov_rev : prov_sample list;
-  mutable arrivals_rev : float list;
 }
 
 let failing b = List.rev b.failing_rev
@@ -44,7 +38,6 @@ let failing_kept b = List.length b.failing_rev
 let success_kept b = List.length b.successful_rev
 let failing_dropped b = b.failing_seen - failing_kept b
 let success_dropped b = b.success_seen - success_kept b
-let arrivals b = List.rev b.arrivals_rev
 
 type totals = {
   received : int;
@@ -61,7 +54,6 @@ type pending_success = {
   p_report : Report.success_report;
   p_bytes : int;
   p_prov : prov_sample;
-  p_arrival : float;
 }
 
 (* --- provenance features ------------------------------------------------ *)
@@ -128,8 +120,8 @@ let create ?(policy = default_policy) ?(modules = Hashtbl.create 8) () =
     pending_dropped = 0;
   }
 
-let built_for t bug_id =
-  match Hashtbl.find_opt t.modules bug_id with
+let server_build modules bug_id =
+  match Hashtbl.find_opt modules bug_id with
   | Some b -> Ok b
   | None -> (
     match Corpus.Registry.find bug_id with
@@ -137,22 +129,19 @@ let built_for t bug_id =
     | Some bug ->
       let b = bug.Corpus.Bug.build () in
       Lir.Irmod.layout b.Corpus.Bug.m;
-      Hashtbl.add t.modules bug_id b;
+      Hashtbl.add modules bug_id b;
       Ok b)
+
+let built_for t bug_id = server_build t.modules bug_id
 
 let note_endpoint b endpoint =
   if not (List.mem endpoint b.endpoints) then
     b.endpoints <- endpoint :: b.endpoints
 
-let note_arrival b arrival =
-  if b.failing_seen + b.success_seen <= arrival_cap then
-    b.arrivals_rev <- arrival :: b.arrivals_rev
-
-let keep_success t b endpoint (r : Report.success_report) nbytes prov arrival =
+let keep_success t b endpoint (r : Report.success_report) nbytes prov =
   b.success_seen <- b.success_seen + 1;
   b.wire_bytes <- b.wire_bytes + nbytes;
   note_endpoint b endpoint;
-  note_arrival b arrival;
   if b.success_seen <= prov_cap then
     b.success_prov_rev <- prov :: b.success_prov_rev;
   if success_kept b < t.policy.max_success then begin
@@ -165,8 +154,7 @@ let keep_success t b endpoint (r : Report.success_report) nbytes prov arrival =
    trigger pc came from.  When several signatures of one bug share a
    watch pc, first (oldest) bucket wins — matching the driver, which
    arms one watchpoint set per failure location. *)
-let route_success t bug_id endpoint (r : Report.success_report) nbytes prov
-    arrival =
+let route_success t bug_id endpoint (r : Report.success_report) nbytes prov =
   let candidates =
     List.filter
       (fun b ->
@@ -176,7 +164,7 @@ let route_success t bug_id endpoint (r : Report.success_report) nbytes prov
   in
   match candidates with
   | b :: _ ->
-    keep_success t b endpoint r nbytes prov arrival;
+    keep_success t b endpoint r nbytes prov;
     true
   | [] -> false
 
@@ -185,16 +173,10 @@ let route_success t bug_id endpoint (r : Report.success_report) nbytes prov
    pc matches no bucket) must not grow the pending pool without bound.
    Newest reports win — on overflow the oldest held entry is evicted,
    mirroring a ring buffer at the endpoint. *)
-let hold_success t bug_id endpoint r nbytes prov arrival =
+let hold_success t bug_id endpoint r nbytes prov =
   let held = Option.value ~default:[] (Hashtbl.find_opt t.pending bug_id) in
   let held =
-    {
-      p_endpoint = endpoint;
-      p_report = r;
-      p_bytes = nbytes;
-      p_prov = prov;
-      p_arrival = arrival;
-    }
+    { p_endpoint = endpoint; p_report = r; p_bytes = nbytes; p_prov = prov }
     :: held
   in
   let held =
@@ -224,14 +206,13 @@ let drain_pending t bug_id =
       List.filter
         (fun p ->
           not
-            (route_success t bug_id p.p_endpoint p.p_report p.p_bytes p.p_prov
-               p.p_arrival))
+            (route_success t bug_id p.p_endpoint p.p_report p.p_bytes p.p_prov))
         (List.rev held)
     in
     if leftover = [] then Hashtbl.remove t.pending bug_id
     else Hashtbl.replace t.pending bug_id (List.rev leftover)
 
-let ingest_failing t ~bug_id ~endpoint ~config ~nbytes ~prov ~arrival
+let ingest_failing t ~bug_id ~endpoint ~config ~nbytes ~prov
     (r : Report.failing_report) =
   match built_for t bug_id with
   | Error _ as e -> e
@@ -258,7 +239,6 @@ let ingest_failing t ~bug_id ~endpoint ~config ~nbytes ~prov ~arrival
               wire_bytes = 0;
               failing_prov_rev = [];
               success_prov_rev = [];
-              arrivals_rev = [];
             }
           in
           Hashtbl.add t.by_key key b;
@@ -276,7 +256,6 @@ let ingest_failing t ~bug_id ~endpoint ~config ~nbytes ~prov ~arrival
       b.failing_seen <- b.failing_seen + 1;
       b.wire_bytes <- b.wire_bytes + nbytes;
       note_endpoint b endpoint;
-      note_arrival b arrival;
       if b.failing_seen <= prov_cap then
         b.failing_prov_rev <- prov :: b.failing_prov_rev;
       if failing_kept b < t.policy.max_failing then begin
@@ -301,7 +280,6 @@ let ingest t packet =
         [ ("reason", Obs.Log.Str msg); ("bytes", Obs.Log.Int nbytes) ];
     Error msg
   in
-  let arrival = Obs.Span.wall_clock_ns () in
   match Wire.decode packet with
   | Error msg -> reject msg
   | Ok env -> (
@@ -311,7 +289,7 @@ let ingest t packet =
       t.failing_received <- t.failing_received + 1;
       match
         ingest_failing t ~bug_id:env.Wire.bug_id ~endpoint:env.Wire.endpoint
-          ~config:env.Wire.config ~nbytes ~prov ~arrival r
+          ~config:env.Wire.config ~nbytes ~prov r
       with
       | Ok () -> Ok ()
       | Error msg -> reject msg)
@@ -321,12 +299,8 @@ let ingest t packet =
       | Error msg -> reject msg
       | Ok _ ->
         if
-          not
-            (route_success t env.Wire.bug_id env.Wire.endpoint r nbytes prov
-               arrival)
-        then
-          hold_success t env.Wire.bug_id env.Wire.endpoint r nbytes prov
-            arrival;
+          not (route_success t env.Wire.bug_id env.Wire.endpoint r nbytes prov)
+        then hold_success t env.Wire.bug_id env.Wire.endpoint r nbytes prov;
         Ok ()))
 
 let buckets t = List.rev t.bucket_list

@@ -51,11 +51,6 @@ type bucket = {
   mutable wire_bytes : int;  (** encoded size of every packet routed here *)
   mutable failing_prov_rev : prov_sample list;  (** newest first, capped *)
   mutable success_prov_rev : prov_sample list;
-  mutable arrivals_rev : float list;
-      (** wall-clock arrival stamp (ns) of every report routed here,
-          newest first, capped — read through {!arrivals}; the
-          report->diagnosis latency histogram subtracts these from the
-          diagnosis completion time *)
 }
 
 val failing : bucket -> Snorlax_core.Report.failing_report list
@@ -68,9 +63,6 @@ val failing_kept : bucket -> int
 val success_kept : bucket -> int
 val failing_dropped : bucket -> int
 val success_dropped : bucket -> int
-
-val arrivals : bucket -> float list
-(** Arrival stamps in arrival order (capped). *)
 
 (** {2 Provenance mining}
 
@@ -132,6 +124,13 @@ val pending_pools : t -> (string * int) list
 val totals : t -> totals
 (** [unrouted] counts the still-pending successes, so call it after the
     fleet has drained. *)
+
+val server_build :
+  (string, Corpus.Bug.built) Hashtbl.t ->
+  string ->
+  (Corpus.Bug.built, string) result
+(** The laid-out server build of a bug id, built once and cached in the
+    given modules table; [Error] on an unknown id. *)
 
 val built : t -> bucket -> Corpus.Bug.built
 (** The server's own build of the bucket's scenario binary (laid out);

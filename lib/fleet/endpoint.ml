@@ -9,8 +9,8 @@ type shipment = {
    seed ranges disjoint with room to spare. *)
 let seed_stride = 10_000
 
-let run ~bug ~endpoint ?(config = Pt.Config.default) ?failing_count
-    ?success_per_failing () =
+let run ~bug ~endpoint =
+  let config = Pt.Config.default in
   Obs.Scope.with_span
     ("fleet/endpoint-" ^ string_of_int endpoint)
     ~args:[ ("bug", Obs.Span.Str bug.Corpus.Bug.id) ]
@@ -23,8 +23,7 @@ let run ~bug ~endpoint ?(config = Pt.Config.default) ?failing_count
   let recorder = Obs.Log.Recorder.create ~capacity:64 () in
   match
     Obs.Log.with_recorder recorder (fun () ->
-        Corpus.Runner.collect bug ~pt_config:config ?failing_count
-          ?success_per_failing ~seed_base ())
+        Corpus.Runner.collect bug ~pt_config:config ~seed_base ())
   with
   | Error _ ->
     Obs.Scope.count "fleet/endpoints_quiet" 1;

@@ -17,16 +17,9 @@ val seed_stride : int
 (** Seed-space distance between endpoints; larger than the runner's
     default retry budget so endpoint schedules never overlap. *)
 
-val run :
-  bug:Corpus.Bug.t ->
-  endpoint:int ->
-  ?config:Pt.Config.t ->
-  ?failing_count:int ->
-  ?success_per_failing:int ->
-  unit ->
-  shipment
-(** Simulate one endpoint.  [failing_count] (default 1) failing reports
-    and [success_per_failing] (default 10, the paper's cap) successes per
-    failing are collected before encoding.  A shipment with [reproduced =
-    false] carries no packets: an endpoint that never failed has nothing
-    to report (its successes were never requested by a watchpoint). *)
+val run : bug:Corpus.Bug.t -> endpoint:int -> shipment
+(** Simulate one endpoint under the default tracer configuration.  One
+    failing report and 10 successes (the paper's cap) are collected
+    before encoding.  A shipment with [reproduced = false] carries no
+    packets: an endpoint that never failed has nothing to report (its
+    successes were never requested by a watchpoint). *)

@@ -47,22 +47,9 @@ let pending_dropped t = t.pending_dropped
 let pending_held t =
   Hashtbl.fold (fun _ held acc -> acc + List.length held) t.pending 0
 
-let shard_count t = Array.length t.shards
-
-(* The tracker's own copy of the server-build cache logic; shared with
-   every shard collector through the same [modules] table, so a scenario
-   binary is built once per deployment. *)
-let built_for t bug_id =
-  match Hashtbl.find_opt t.modules bug_id with
-  | Some b -> Ok b
-  | None -> (
-    match Corpus.Registry.find bug_id with
-    | None -> Error (Printf.sprintf "unknown bug id %s" bug_id)
-    | Some bug ->
-      let b = bug.Corpus.Bug.build () in
-      Lir.Irmod.layout b.Corpus.Bug.m;
-      Hashtbl.add t.modules bug_id b;
-      Ok b)
+(* The [modules] table is shared with every shard collector, so a
+   scenario binary is built once per deployment. *)
+let built_for t bug_id = Fleet.Collector.server_build t.modules bug_id
 
 let shard_of_key t key = Hashtbl.hash key mod Array.length t.shards
 

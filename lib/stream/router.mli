@@ -47,5 +47,3 @@ val pending_held : t -> int
 
 val pending_dropped : t -> int
 (** Held successes evicted by the drop-oldest pool cap. *)
-
-val shard_count : t -> int

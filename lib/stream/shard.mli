@@ -45,10 +45,6 @@ val service : t -> budget:int -> Obs.Metrics.histogram -> serviced
     report→diagnosis latency stamps into the histogram (queue wait
     included).  Runs under the shard's flight recorder. *)
 
-val refresh : t -> unit
-(** Sync every bucket's engine without draining (used after out-of-band
-    ingest in tests). *)
-
 val engine : t -> Fleet.Collector.bucket -> Incremental.t option
 (** The incremental engine owning this bucket, if it has been synced. *)
 

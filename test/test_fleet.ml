@@ -560,77 +560,137 @@ let test_rediagnosis_reuses_decodes () =
 
 (* --- end to end ---------------------------------------------------------- *)
 
+module Deploy = Stream.Deploy
+
 let test_fleet_end_to_end () =
   let bug = Corpus.Registry.find_exn "pbzip2-1" in
-  let s = Fleet.Deploy.run ~endpoints:3 [ bug ] in
-  Alcotest.(check int) "no decode errors" 0 s.Fleet.Deploy.decode_errors;
-  Alcotest.(check int) "no unrouted successes" 0 s.Fleet.Deploy.unrouted;
+  let s = Deploy.run_once ~endpoints:3 [ bug ] in
+  Alcotest.(check int) "no decode errors" 0 s.Deploy.decode_errors;
+  Alcotest.(check int) "no unrouted successes" 0 s.Deploy.unrouted;
   Alcotest.(check bool) "some bytes crossed the wire" true
-    (s.Fleet.Deploy.wire_bytes > 0);
-  match s.Fleet.Deploy.rows with
+    (s.Deploy.wire_bytes > 0);
+  Alcotest.(check bool) "stream gate holds" true
+    (s.Deploy.agree && s.Deploy.accounted && s.Deploy.leftover_queue = 0);
+  Alcotest.(check int) "nothing shed" 0 s.Deploy.shed;
+  match s.Deploy.rows with
   | [ r ] ->
-    Alcotest.(check int) "all endpoints in one bucket" 3
-      r.Fleet.Deploy.endpoints_hit;
+    Alcotest.(check int) "all endpoints in one bucket" 3 r.Deploy.endpoints_hit;
     Alcotest.(check bool) "dedup collapsed the fleet" true
-      (s.Fleet.Deploy.dedup_ratio >= 3.0);
-    Alcotest.(check bool) "diagnosed" true (r.Fleet.Deploy.top_pattern <> None);
+      (s.Deploy.dedup_ratio >= 3.0);
+    Alcotest.(check bool) "diagnosed" true (r.Deploy.top_pattern <> None);
     Alcotest.(check bool) "root cause matches ground truth" true
-      r.Fleet.Deploy.root_cause_match;
+      r.Deploy.root_cause_match;
     Alcotest.(check bool) "report->diagnosis p50 measured" true
-      (s.Fleet.Deploy.latency_p50_ns > 0.0);
+      (s.Deploy.latency_p50_ns > 0.0);
     Alcotest.(check bool) "p99 >= p50" true
-      (s.Fleet.Deploy.latency_p99_ns >= s.Fleet.Deploy.latency_p50_ns)
+      (s.Deploy.latency_p99_ns >= s.Deploy.latency_p50_ns)
   | rows -> Alcotest.failf "expected 1 bucket, got %d" (List.length rows)
 
 let test_deploy_rejects_zero_endpoints () =
   Alcotest.check_raises "endpoints < 1"
-    (Invalid_argument "Deploy.run: endpoints < 1") (fun () ->
-      ignore (Fleet.Deploy.run ~endpoints:0 []))
+    (Invalid_argument "Stream.Deploy.run_once: endpoints < 1") (fun () ->
+      ignore (Deploy.run_once ~endpoints:0 []))
 
 let test_deploy_zero_buckets () =
   (* An empty scenario list is a legal (if pointless) deployment: every
      per-bucket average must come back 0.0, not a 0/0 NaN. *)
-  let s = Fleet.Deploy.run ~endpoints:2 [] in
-  Alcotest.(check int) "no buckets" 0 s.Fleet.Deploy.bucket_count;
-  Alcotest.(check (float 0.0)) "dedup ratio guarded" 0.0
-    s.Fleet.Deploy.dedup_ratio;
+  let s = Deploy.run_once ~endpoints:2 [] in
+  Alcotest.(check int) "no buckets" 0 s.Deploy.bucket_count;
+  Alcotest.(check (float 0.0)) "dedup ratio guarded" 0.0 s.Deploy.dedup_ratio;
   List.iter
     (fun (name, v) ->
       Alcotest.(check bool) (name ^ " is a number") false (Float.is_nan v))
     [
-      ("dedup_ratio", s.Fleet.Deploy.dedup_ratio);
-      ("latency_p50_ns", s.Fleet.Deploy.latency_p50_ns);
-      ("latency_p99_ns", s.Fleet.Deploy.latency_p99_ns);
-      ("diagnosis_ns", s.Fleet.Deploy.diagnosis_ns);
+      ("dedup_ratio", s.Deploy.dedup_ratio);
+      ("latency_p50_ns", s.Deploy.latency_p50_ns);
+      ("latency_p99_ns", s.Deploy.latency_p99_ns);
+      ("diagnosis_ns", s.Deploy.diagnosis_ns);
     ]
 
 let test_deploy_tick_hook () =
   (* The ?tick hook behind --watch: once per endpoint, cumulative
-     shipped count monotone, and the rendered line well-formed. *)
+     offered count monotone, and the rendered line well-formed. *)
   let bug = Corpus.Registry.find_exn "pbzip2-1" in
   let seen = ref [] in
   let s =
-    Fleet.Deploy.run ~endpoints:3 ~tick:(fun p -> seen := p :: !seen) [ bug ]
+    Deploy.run_once ~endpoints:3 ~tick:(fun p -> seen := p :: !seen) [ bug ]
   in
   let ticks = List.rev !seen in
   Alcotest.(check int) "fired once per endpoint" 3 (List.length ticks);
   Alcotest.(check (list int))
     "endpoints reported in order" [ 0; 1; 2 ]
-    (List.map (fun p -> p.Fleet.Deploy.tick_endpoint) ticks);
-  let shipped = List.map (fun p -> p.Fleet.Deploy.tick_shipped) ticks in
-  Alcotest.(check bool) "shipped counts monotone" true
-    (List.sort compare shipped = shipped);
+    (List.map (fun p -> p.Deploy.p_tick) ticks);
+  let offered = List.map (fun p -> p.Deploy.p_offered) ticks in
+  Alcotest.(check bool) "offered counts monotone" true
+    (List.sort compare offered = offered);
   Alcotest.(check int) "last tick saw the whole fleet's packets"
-    s.Fleet.Deploy.shipped
-    (List.nth shipped (List.length shipped - 1));
+    s.Deploy.offered
+    (List.nth offered (List.length offered - 1));
   List.iter
     (fun p ->
-      let line = Fleet.Deploy.watch_line p in
+      let line = Deploy.watch_line p in
       Alcotest.(check bool)
         (Printf.sprintf "watch line renders (%s)" line)
         true
-        (String.length line > 0 && String.sub line 0 7 = "[watch]"))
+        (String.length line > 0
+        && String.sub line 0 8 = "[stream]"
+        && Test_obs.contains line ", ingest p50/p99 "))
     ticks
+
+(* The one-shot form of the stream loop against the frozen batch loop
+   in [Ref_fleet]: the same endpoints give the same bucket rows (F1 and
+   A_O to the bit) and the same totals, and the tracker holds nothing
+   back. *)
+let check_matches_reference ~endpoints ids =
+  let bugs = List.map Corpus.Registry.find_exn ids in
+  let ref_rows, ref_totals = Ref_fleet.run ~endpoints bugs in
+  let s = Deploy.run_once ~endpoints bugs in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int) "bucket count" (List.length ref_rows)
+    (List.length s.Deploy.rows);
+  List.iter2
+    (fun (e : Ref_fleet.row) (r : Deploy.bucket_row) ->
+      let name field = Printf.sprintf "%s %s: %s" e.bug_id e.signature field in
+      Alcotest.(check string) (name "signature") e.signature r.Deploy.signature;
+      Alcotest.(check (list int))
+        (name "eps, fail k/d, succ k/d, bytes")
+        [
+          e.endpoints_hit; e.failing_kept; e.failing_dropped; e.success_kept;
+          e.success_dropped; e.wire_bytes;
+        ]
+        [
+          r.Deploy.endpoints_hit; r.Deploy.failing_kept;
+          r.Deploy.failing_dropped; r.Deploy.success_kept;
+          r.Deploy.success_dropped; r.Deploy.wire_bytes;
+        ];
+      Alcotest.(check (list string)) (name "qualifiers") e.qualifiers
+        r.Deploy.qualifiers;
+      Alcotest.(check (option string)) (name "top pattern") e.top_pattern
+        r.Deploy.top_pattern;
+      Alcotest.(check (option string)) (name "description") e.top_describe
+        r.Deploy.top_describe;
+      Alcotest.(check bool) (name "root cause") e.root_cause_match
+        r.Deploy.root_cause_match;
+      Alcotest.(check int64) (name "F1 bits") (bits e.f1) (bits r.Deploy.f1);
+      Alcotest.(check int64) (name "A_O bits") (bits e.ordering_accuracy)
+        (bits r.Deploy.ordering_accuracy))
+    ref_rows s.Deploy.rows;
+  let t = ref_totals in
+  Alcotest.(check (list int))
+    "shipped, wire bytes, buckets, decode errors, unrouted"
+    [ t.shipped; t.t_wire_bytes; t.buckets; t.decode_errors; t.unrouted ]
+    [
+      s.Deploy.offered; s.Deploy.wire_bytes; s.Deploy.bucket_count;
+      s.Deploy.decode_errors; s.Deploy.unrouted;
+    ];
+  Alcotest.(check int64) "dedup ratio bits" (bits t.dedup_ratio)
+    (bits s.Deploy.dedup_ratio);
+  Alcotest.(check (list int)) "tracker held / dropped, shed" [ 0; 0; 0 ]
+    [ s.Deploy.tracker_held; s.Deploy.tracker_dropped; s.Deploy.shed ]
+
+let test_run_once_matches_reference () =
+  check_matches_reference ~endpoints:3 [ "pbzip2-1" ];
+  check_matches_reference ~endpoints:2 [ "mysql-1"; "aget-1" ]
 
 (* The satellite property for the v2 wire format: provenance survives
    the packet stream treatment a real fleet gives it — packets get
@@ -751,6 +811,8 @@ let tests =
           test_deploy_zero_buckets;
         Alcotest.test_case "?tick hook: once per endpoint, monotone" `Quick
           test_deploy_tick_hook;
+        Alcotest.test_case "run_once equals the frozen batch loop" `Quick
+          test_run_once_matches_reference;
         qtest prop_wire_stream_preserves_provenance;
       ] );
   ]
