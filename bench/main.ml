@@ -252,8 +252,9 @@ let emit_fleet_bench () =
 
 (* The trace-processing stage dominates the pipeline (BENCH_pipeline.json
    puts it at ~96% of a diagnosis), so it gets its own artifact: the same
-   report set decoded sequentially, with the domain pool, and against a
-   warm memo cache.  The cache's own miss counter doubles as the decoder
+   (snapshot, tail stop) inputs decoded by the frozen v1 decoder and by
+   the production one, and the reports processed against a warm memo
+   cache.  The cache's own miss counter doubles as the decoder
    invocation count, which is how the cold/warm comparison is proved
    rather than inferred from wall time. *)
 let emit_decode_bench () =
@@ -273,19 +274,26 @@ let emit_decode_bench () =
           n + List.length s.Snorlax_core.Report.s_traces)
         0 successful
   in
-  let run ~jobs ~engine ~cache () =
+  let run ~cache () =
     List.iter
       (fun r ->
         ignore
-          (Snorlax_core.Diagnosis.process_failing ~jobs ~engine ~cache m
+          (Snorlax_core.Diagnosis.process_failing ~cache m
              ~config:Pt.Config.default r))
       failing;
     List.iter
       (fun s ->
         ignore
-          (Snorlax_core.Diagnosis.process_successful ~jobs ~engine ~cache m
+          (Snorlax_core.Diagnosis.process_successful ~cache m
              ~config:Pt.Config.default s))
       successful
+  in
+  let inputs = Ref_decoder.report_inputs m ~failing ~successful in
+  let decode_all decode () =
+    List.iter
+      (fun (snapshot, tail_stop) ->
+        ignore (decode m ~config:Pt.Config.default ?tail_stop snapshot))
+      inputs
   in
   let time f =
     (* Best of 3: the artifact feeds bench-compare, so prefer the stable
@@ -298,23 +306,19 @@ let emit_decode_bench () =
     done;
     !best
   in
-  let no_cache = Pt.Decode_cache.create ~capacity:0 () in
-  (* The baseline is the v1 reference pipeline decoded one trace at a
-     time — exactly what shipped before the overhaul.  The contender is
-     the cursor walker under the batched pool at 4 jobs.  [seq_new_ns]
-     isolates how much of the win is raw decoder speed (visible even on
-     a single-core box, where extra domains cannot help). *)
-  let jobs = 4 in
-  let seq_cold_ns = time (run ~jobs:1 ~engine:`Reference ~cache:no_cache) in
-  let seq_new_ns = time (run ~jobs:1 ~engine:`Cursor ~cache:no_cache) in
-  let par_cold_ns = time (run ~jobs ~engine:`Cursor ~cache:no_cache) in
+  (* The baseline is the v1 pipeline (kept in the test suite) decoding
+     one trace at a time — what shipped before the cursor decoder; the
+     contender is [Pt.Decoder.decode] on the same inputs.  Both decode
+     directly, so no cache is involved. *)
+  let seq_cold_ns = time (decode_all Ref_decoder.decode) in
+  let seq_new_ns = time (decode_all Pt.Decoder.decode) in
   (* Cold/warm split on a private cache: misses after the first pass are
      exactly the decoder invocations a cold server performs; misses added
      by a second identical pass are the warm-path invocations. *)
   let cache = Pt.Decode_cache.create ~capacity:1024 () in
-  run ~jobs:1 ~engine:`Cursor ~cache ();
+  run ~cache ();
   let cold = Pt.Decode_cache.stats cache in
-  let warm_ns = time (run ~jobs:1 ~engine:`Cursor ~cache) in
+  let warm_ns = time (run ~cache) in
   let warm = Pt.Decode_cache.stats cache in
   let decode_calls_cold = cold.Pt.Decode_cache.misses in
   let decode_calls_warm =
@@ -327,12 +331,9 @@ let emit_decode_bench () =
       [
         ("reports", Obs.Json.Int reports);
         ("traces", Obs.Json.Int traces);
-        ("jobs", Obs.Json.Int jobs);
         ("seq_cold_ns", Obs.Json.Float seq_cold_ns);
         ("seq_new_ns", Obs.Json.Float seq_new_ns);
-        ("par_cold_ns", Obs.Json.Float par_cold_ns);
         ("warm_ns", Obs.Json.Float warm_ns);
-        ("parallel_speedup", Obs.Json.Float (ratio seq_cold_ns par_cold_ns));
         ("raw_speedup", Obs.Json.Float (ratio seq_cold_ns seq_new_ns));
         ("warm_speedup", Obs.Json.Float (ratio seq_cold_ns warm_ns));
         ("decode_calls_cold", Obs.Json.Int decode_calls_cold);

@@ -125,13 +125,16 @@ let emit_obs o =
   end;
   !ok
 
-(* [--decode-jobs]/[--decode-cache] act on the process-wide defaults so
-   every decode downstream of the command — including the fleet
-   collector's per-bucket re-diagnoses — sees them without threading
-   arguments through each layer. *)
-let apply_decode_opts jobs cache =
-  Option.iter Snorlax_util.Pool.set_default_jobs jobs;
+(* [--decode-cache] acts on the process-wide cache so every decode
+   downstream of the command — including the stream shards' per-bucket
+   re-diagnoses — sees it without threading arguments through each
+   layer. *)
+let apply_decode_cache cache =
   Option.iter (Pt.Decode_cache.set_capacity Pt.Decode_cache.shared) cache
+
+(* [--jobs N]: sweep lanes, one bug per lane (default: the runtime's
+   recommended domain count). *)
+let lanes jobs = Option.value jobs ~default:(Snorlax_util.Pool.default_jobs ())
 
 let usage_error msg =
   Printf.eprintf "%s\n" msg;
@@ -155,8 +158,8 @@ let fault_of_name n =
       (Printf.sprintf "unknown fault class %s (one of: %s)" n
          (String.concat ", " (List.map Chaos.Fault.name Chaos.Fault.all)))
 
-let diagnose_bug id verbose decode_jobs decode_cache obs =
-  apply_decode_opts decode_jobs decode_cache;
+let diagnose_bug id verbose decode_cache obs =
+  apply_decode_cache decode_cache;
   if not (setup_obs obs) then 1
   else
   match Corpus.Registry.find id with
@@ -222,8 +225,8 @@ let diagnose_bug id verbose decode_jobs decode_cache obs =
 
 let watch_tick p = Printf.printf "%s\n%!" (Deploy.watch_line p)
 
-let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
-  apply_decode_opts decode_jobs decode_cache;
+let fleet_run n_endpoints bug_id all watch decode_cache obs =
+  apply_decode_cache decode_cache;
   if not (setup_obs obs) then 1
   else begin
   (* --watch reads stage percentiles out of the ambient registry, so it
@@ -305,7 +308,7 @@ let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
     if diagnosed && gate && obs_ok then 0 else 1
   end
 
-let chaos_run seeds n_endpoints bug_id all fault_name out obs =
+let chaos_run seeds n_endpoints bug_id all fault_name jobs out obs =
   if not (setup_obs obs) then 1
   else
   let bugs = select_bugs ~all_set:Corpus.Registry.eval_set bug_id all in
@@ -322,11 +325,9 @@ let chaos_run seeds n_endpoints bug_id all fault_name out obs =
        each...\n%!"
       seeds (List.length classes) (List.length bugs) n_endpoints;
     match
-      (* One bug per pool lane; --decode-jobs (which sets the pool
-         default) therefore scales the chaos sweep too. *)
       Chaos.Harness.run ~endpoints:n_endpoints ~classes
         ~progress:(fun line -> Printf.printf "  %s\n%!" line)
-        ~jobs:(Snorlax_util.Pool.default_jobs ())
+        ~jobs:(lanes jobs)
         ~seeds bugs
     with
     | Error msg ->
@@ -433,8 +434,8 @@ let stream_json (s : Deploy.summary) =
     ]
 
 let stream_run n_endpoints ticks n_shards churn fault_name
-    shed_str watch bug_id all seed out decode_jobs decode_cache obs =
-  apply_decode_opts decode_jobs decode_cache;
+    shed_str watch bug_id all seed out decode_cache obs =
+  apply_decode_cache decode_cache;
   if not (setup_obs obs) then 1
   else begin
     if watch && not (Obs.Scope.enabled ()) then ignore (Obs.Scope.enable ());
@@ -746,8 +747,8 @@ let bench_compare old_path new_path max_regress verbose =
       1
     end
 
-let oracle_run bug_id all out decode_jobs decode_cache obs =
-  apply_decode_opts decode_jobs decode_cache;
+let oracle_run bug_id all jobs out decode_cache obs =
+  apply_decode_cache decode_cache;
   if not (setup_obs obs) then 1
   else
   match select_bugs ~all_set:Corpus.Registry.all bug_id all with
@@ -757,13 +758,7 @@ let oracle_run bug_id all out decode_jobs decode_cache obs =
       "Cross-checking %d bug(s): diagnosis pipeline vs happens-before \
        oracle...\n%!"
       (List.length bugs);
-    (* The sweep fans one bug per lane; --decode-jobs (which sets the
-       pool default) therefore scales the registry sweep too. *)
-    let results =
-      Oracle.Diffcheck.check_all
-        ~sweep_jobs:(Snorlax_util.Pool.default_jobs ())
-        bugs
-    in
+    let results = Oracle.Diffcheck.check_all ~sweep_jobs:(lanes jobs) bugs in
     let t =
       Snorlax_util.Tablefmt.create
         ~headers:
@@ -835,9 +830,8 @@ let oracle_run bug_id all out decode_jobs decode_cache obs =
     let obs_ok = emit_obs obs in
     if !diverging = [] && !errors = 0 && json_ok && obs_ok then 0 else 1
 
-let fix_run bug_id all seeds jobs min_fix_rate out decode_jobs decode_cache obs
-    =
-  apply_decode_opts decode_jobs decode_cache;
+let fix_run bug_id all seeds jobs min_fix_rate out decode_cache obs =
+  apply_decode_cache decode_cache;
   if not (setup_obs obs) then 1
   else
   match select_bugs ~all_set:Corpus.Registry.all bug_id all with
@@ -847,14 +841,7 @@ let fix_run bug_id all seeds jobs min_fix_rate out decode_jobs decode_cache obs
       "Synthesizing and validating patches for %d bug(s) (%d-seed oracle \
        sweep each)...\n%!"
       (List.length bugs) seeds;
-    (* One bug per lane, like the oracle sweep; --jobs caps the fan-out
-       (default: the pool's recommended width). *)
-    let sweep_jobs =
-      match jobs with
-      | Some n -> n
-      | None -> Snorlax_util.Pool.default_jobs ()
-    in
-    let results = Fix.Validate.fix_all ~sweep_jobs ~seeds bugs in
+    let results = Fix.Validate.fix_all ~sweep_jobs:(lanes jobs) ~seeds bugs in
     let t =
       Snorlax_util.Tablefmt.create
         ~headers:
@@ -985,15 +972,14 @@ let obs_term =
     const mk $ trace_out_arg $ metrics_out_arg $ metrics_text_arg
     $ obs_summary_arg $ log_level_arg $ log_json_arg)
 
-let decode_jobs_arg =
+let jobs_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "decode-jobs" ] ~docv:"N"
+    & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Domains used to decode trace snapshots in parallel (default: the \
-           runtime's recommended domain count). 1 forces the sequential \
-           path; results are identical either way.")
+          "Sweep lanes, one bug per lane (default: the runtime's \
+           recommended domain count); the output is identical at any width.")
 
 let decode_cache_arg =
   Arg.(
@@ -1016,8 +1002,7 @@ let diagnose_cmd =
     (Cmd.info "diagnose"
        ~doc:"Reproduce a corpus bug and run Lazy Diagnosis on it")
     Term.(
-      const diagnose_bug $ bug_arg $ verbose $ decode_jobs_arg
-      $ decode_cache_arg $ obs_term)
+      const diagnose_bug $ bug_arg $ verbose $ decode_cache_arg $ obs_term)
 
 let fleet_cmd =
   let endpoints =
@@ -1055,8 +1040,8 @@ let fleet_cmd =
           reports to the collector, which dedups them by crash signature \
           and runs the statistical diagnosis per bucket across endpoints")
     Term.(
-      const fleet_run $ endpoints $ bug $ all $ watch $ decode_jobs_arg
-      $ decode_cache_arg $ obs_term)
+      const fleet_run $ endpoints $ bug $ all $ watch $ decode_cache_arg
+      $ obs_term)
 
 let chaos_cmd =
   let seeds =
@@ -1104,7 +1089,8 @@ let chaos_cmd =
           invariants after every trial; exits non-zero on any invariant \
           violation or escaped exception")
     Term.(
-      const chaos_run $ seeds $ endpoints $ bug $ all $ fault $ out $ obs_term)
+      const chaos_run $ seeds $ endpoints $ bug $ all $ fault $ jobs_arg $ out
+      $ obs_term)
 
 let stream_cmd =
   let endpoints =
@@ -1190,8 +1176,8 @@ let stream_cmd =
           backpressure accounting fails to reconcile")
     Term.(
       const stream_run $ endpoints $ ticks $ shards $ churn
-      $ fault $ shed $ watch $ bug $ all $ seed $ out $ decode_jobs_arg
-      $ decode_cache_arg $ obs_term)
+      $ fault $ shed $ watch $ bug $ all $ seed $ out $ decode_cache_arg
+      $ obs_term)
 
 let dump_cmd =
   Cmd.v (Cmd.info "dump" ~doc:"Print a corpus program's LIR")
@@ -1271,7 +1257,7 @@ let oracle_cmd =
           diagnosis-spurious / oracle-only); exits non-zero on any \
           divergence")
     Term.(
-      const oracle_run $ bug $ all $ out $ decode_jobs_arg $ decode_cache_arg
+      const oracle_run $ bug $ all $ jobs_arg $ out $ decode_cache_arg
       $ obs_term)
 
 let fix_cmd =
@@ -1292,16 +1278,6 @@ let fix_cmd =
       & opt int Fix.Validate.default_sweep_seeds
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Fresh seeds swept under the happens-before oracle per patch.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Pool lanes fixing bugs in parallel (default: the runtime's \
-             recommended domain count); the verdict table is identical at \
-             any width.")
   in
   let min_fix_rate =
     Arg.(
@@ -1328,8 +1304,8 @@ let fix_cmd =
           and sweeping fresh seeds under the happens-before oracle; reports \
           a fixed / not-fixed / regressed verdict per bug")
     Term.(
-      const fix_run $ bug $ all $ seeds $ jobs $ min_fix_rate $ out
-      $ decode_jobs_arg $ decode_cache_arg $ obs_term)
+      const fix_run $ bug $ all $ seeds $ jobs_arg $ min_fix_rate $ out
+      $ decode_cache_arg $ obs_term)
 
 let metrics_lint_cmd =
   let file_arg =

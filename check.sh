@@ -61,9 +61,12 @@ rm -f /tmp/snorlax_bench_regressed.json
 
 echo "== decode bench gate =="
 # Gate the fresh artifact against the newest archived snapshot (same
-# generous wall-clock threshold as the fleet gate), and hold the decode
-# overhaul to its headline number: the batched pool + cursor walker must
-# beat the v1 sequential pipeline at least 2x on a cold corpus.
+# generous wall-clock threshold as the fleet gate), and hold the decoder
+# to its headline number: on the same cold inputs the cursor walker must
+# beat the frozen v1 pipeline (test/ref_decoder) by raw_speedup >= 3.3.
+# On a 2-core host it measured 4.51-4.78 (median 4.57); the threshold
+# keeps the margin the old parallel_speedup >= 2.0 gate had there
+# (median 2.79): 4.57 / (2.79 / 2.0) = 3.27, rounded up.
 baseline=$(ls -t bench_history/*/BENCH_decode.json 2>/dev/null | head -1 || true)
 if [ -n "$baseline" ]; then
   dune exec bin/snorlax.exe -- bench-compare --max-regress 200 \
@@ -71,12 +74,12 @@ if [ -n "$baseline" ]; then
 else
   echo "decode bench gate: no archived baseline yet (skipped)"
 fi
-awk 'BEGIN { RS="," } /"parallel_speedup"/ {
+awk 'BEGIN { RS="," } /"raw_speedup"/ {
        split($0, kv, ":"); s = kv[2] + 0
-       if (s >= 2.0) { print "decode bench gate: parallel_speedup " s " >= 2.0"; ok = 1 }
-       else { print "decode bench gate: parallel_speedup " s " < 2.0"; exit 1 }
+       if (s >= 3.3) { print "decode bench gate: raw_speedup " s " >= 3.3"; ok = 1 }
+       else { print "decode bench gate: raw_speedup " s " < 3.3"; exit 1 }
      }
-     END { if (!ok) { print "decode bench gate: parallel_speedup missing"; exit 1 } }' \
+     END { if (!ok) { print "decode bench gate: raw_speedup missing"; exit 1 } }' \
   BENCH_decode.json
 
 echo "== stream smoke =="

@@ -212,73 +212,36 @@ let collect_baseline bug =
         successful = c.Corpus.Runner.successful;
       }
 
-(* The sweep's lanes in bug input order, each carrying that bug's
-   per-class trials.  Sequential mode is the historical loop exactly:
-   every baseline collected first (stopping at the first failure, trials
-   untouched), then trial matrices bug by bug with progress in between.
-   Parallel mode runs one bug per {!Obs.Scope.sweep} lane — baseline
-   collect included — with a lane-private modules table; lanes merge
-   back in input order (first baseline error in input order wins,
-   progress replays on the submitting domain), so the report is
-   identical either way. *)
+(* The sweep's lanes in bug input order, one bug per {!Obs.Scope.sweep}
+   lane — baseline collect and that bug's per-class trials together,
+   with a lane-private server-build table.  Lanes merge back in input
+   order (the first baseline error in input order wins, progress fires
+   on the calling domain), so the report is identical at any width. *)
 let sweep_lanes ~jobs ~policy ~endpoints ~classes ~seeds ~progress bugs =
-  if jobs <= 1 then begin
-    let modules = Hashtbl.create 16 in
-    let baselines =
-      List.fold_left
-        (fun acc bug ->
-          match acc with
-          | Error _ as e -> e
-          | Ok bls -> (
-            match collect_baseline bug with
-            | Error _ as e -> e
-            | Ok bl -> Ok (bl :: bls)))
-        (Ok []) bugs
-    in
-    match baselines with
-    | Error e -> Error e
-    | Ok baselines_rev ->
-      Ok
-        (List.map
-           (fun bl ->
-             let r =
-               trials_for_bug ~modules ~policy ~endpoints ~classes ~seeds bl
-             in
-             progress (progress_line bl ~classes ~seeds);
-             (bl, r))
-           (List.rev baselines_rev))
-  end
-  else begin
-    let lanes =
-      Obs.Scope.sweep ~jobs
-        (fun _ bug ->
-          match collect_baseline bug with
-          | Error _ as e -> e
-          | Ok bl ->
-            let modules = Hashtbl.create 16 in
-            Ok
-              ( bl,
-                trials_for_bug ~modules ~policy ~endpoints ~classes ~seeds bl
-              ))
-        (Array.of_list bugs)
-    in
-    (* Folding from the right lets the first error in input order win. *)
-    match
-      Array.fold_right
-        (fun lane acc ->
-          match (lane, acc) with
-          | (Error _ as e), _ -> e
-          | Ok lane, Ok lanes -> Ok (lane :: lanes)
-          | Ok _, (Error _ as e) -> e)
-        lanes (Ok [])
-    with
-    | Error _ as e -> e
-    | Ok lanes ->
-      List.iter
-        (fun (bl, _) -> progress (progress_line bl ~classes ~seeds))
-        lanes;
-      Ok lanes
-  end
+  let lanes =
+    Obs.Scope.sweep ~jobs
+      (fun _ bug ->
+        match collect_baseline bug with
+        | Error _ as e -> e
+        | Ok bl ->
+          let modules = Hashtbl.create 16 in
+          Ok (bl, trials_for_bug ~modules ~policy ~endpoints ~classes ~seeds bl))
+      (Array.of_list bugs)
+  in
+  (* Folding from the right lets the first error in input order win. *)
+  match
+    Array.fold_right
+      (fun lane acc ->
+        match (lane, acc) with
+        | (Error _ as e), _ -> e
+        | Ok lane, Ok lanes -> Ok (lane :: lanes)
+        | Ok _, (Error _ as e) -> e)
+      lanes (Ok [])
+  with
+  | Error _ as e -> e
+  | Ok lanes ->
+    List.iter (fun (bl, _) -> progress (progress_line bl ~classes ~seeds)) lanes;
+    Ok lanes
 
 let run ?(policy = Collector.default_policy) ?(endpoints = 3)
     ?(classes = Fault.all) ?(progress = fun _ -> ()) ?jobs ~seeds bugs =

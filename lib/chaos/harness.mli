@@ -70,12 +70,12 @@ val run :
     [endpoints] (default 3) simulated machines replay each bug.
     [Error] when [seeds < 1], [bugs] is empty, or a bug's lab baseline
     fails to reproduce.  [progress] receives one line per completed bug.
-    [jobs] (default 1 = the historical sequential loop) fans the sweep
-    one bug per {!Obs.Scope.sweep} lane — baseline collect and all that
-    bug's trials together, with a lane-private server-build table.  Trials are
-    already independent per (bug, class, seed), so the report is
-    identical whatever [jobs]; [progress] then fires on the submitting
-    domain as lanes merge, still in bug order. *)
+    [jobs] (default 1) fans the sweep one bug per {!Obs.Scope.sweep}
+    lane — baseline collect and all that bug's trials together, with a
+    lane-private server-build table.  Trials are already independent per
+    (bug, class, seed), so the report is identical whatever [jobs];
+    [progress] fires on the calling domain once the lanes merge, in bug
+    order. *)
 
 val to_json : report -> Obs.Json.t
 (** The BENCH_chaos.json document: run parameters, per-class rows

@@ -104,7 +104,7 @@ let resolve_anchor m tp (r : Report.failing_report) =
       | Report.Use_after_free | Report.Assertion -> reported)
     | _ -> nearest_access m tp r ~reported)
 
-let tails_of m (r : Report.failing_report) =
+let failing_tails m (r : Report.failing_report) =
   let pc_of iid = (Lir.Irmod.instr_by_iid m iid).Lir.Instr.pc in
   match r.Report.info with
   | Report.Crash_info { failing_iid; _ } ->
@@ -114,23 +114,21 @@ let tails_of m (r : Report.failing_report) =
       (fun (tid, iid) -> (tid, pc_of iid, r.Report.failure_time_ns))
       blocked
 
-let process_failing m ~config ?jobs ?cache ?engine (r : Report.failing_report)
-    =
-  Tp.process m ~config ~fail_tails:(tails_of m r) ?jobs ?cache ?engine
-    r.Report.traces
+(* The successful trace was snapped at the watchpoint; replay the
+   triggering thread up to the watched pc so the events right before it
+   (branch-free code) participate in the statistics, exactly as the
+   failing thread is replayed to the crash pc. *)
+let successful_tails (s : Report.success_report) =
+  [ (s.Report.trigger_tid, s.Report.trigger_pc, s.Report.trigger_time_ns) ]
 
-let process_successful m ~config ?jobs ?cache ?engine
-    (s : Report.success_report) =
-  (* The successful trace was snapped at the watchpoint; replay the
-     triggering thread up to the watched pc so the events right before it
-     (branch-free code) participate in the statistics, exactly as the
-     failing thread is replayed to the crash pc. *)
-  Tp.process m ~config
-    ~fail_tails:
-      [ (s.Report.trigger_tid, s.Report.trigger_pc, s.Report.trigger_time_ns) ]
-    ?jobs ?cache ?engine s.Report.s_traces
+let process_failing m ~config ?cache (r : Report.failing_report) =
+  Tp.process m ~config ~fail_tails:(failing_tails m r) ?cache r.Report.traces
 
-let diagnose ?jobs ?cache m ~config ~failing ~successful =
+let process_successful m ~config ?cache (s : Report.success_report) =
+  Tp.process m ~config ~fail_tails:(successful_tails s) ?cache
+    s.Report.s_traces
+
+let diagnose ?cache m ~config ~failing ~successful =
   let first =
     match failing with
     | [] -> invalid_arg "Diagnosis.diagnose: no failing report"
@@ -160,10 +158,10 @@ let diagnose ?jobs ?cache m ~config ~failing ~successful =
   let failing_tps, success_tps, executed =
     stage "diagnosis/trace_processing" (fun sp ->
         let failing_tps =
-          List.map (process_failing m ~config ?jobs ?cache) failing
+          List.map (process_failing m ~config ?cache) failing
         in
         let success_tps =
-          List.map (process_successful m ~config ?jobs ?cache) successful
+          List.map (process_successful m ~config ?cache) successful
         in
         let executed =
           List.fold_left

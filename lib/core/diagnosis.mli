@@ -45,7 +45,6 @@ type result = {
 }
 
 val diagnose :
-  ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
   Lir.Irmod.t ->
   config:Pt.Config.t ->
@@ -56,35 +55,35 @@ val diagnose :
     more only sharpen statistics) plus successful-execution reports.
     Raises [Invalid_argument] when [failing] is empty.
 
-    [?jobs] and [?cache] govern the trace-processing stage (see
-    {!Trace_processing.process}): decode parallelism defaults to
-    {!Snorlax_util.Pool.default_jobs} and decode memoization to
-    {!Pt.Decode_cache.shared}. *)
+    [?cache] is the trace-processing stage's decode memo (see
+    {!Trace_processing.process}), default {!Pt.Decode_cache.shared}. *)
 
 val process_failing :
   Lir.Irmod.t ->
   config:Pt.Config.t ->
-  ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
-  ?engine:[ `Cursor | `Reference ] ->
   Report.failing_report ->
   Trace_processing.t
 (** Decode a failing report's traces, replaying each blocked/failing
-    thread to its reported pc.  [?engine] selects the decoder
-    implementation (see {!Trace_processing.process}); benchmarks use
-    [`Reference] to time the frozen v1 baseline through the same
-    pipeline. *)
+    thread to its reported pc ({!failing_tails}). *)
 
 val process_successful :
   Lir.Irmod.t ->
   config:Pt.Config.t ->
-  ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
-  ?engine:[ `Cursor | `Reference ] ->
   Report.success_report ->
   Trace_processing.t
 (** Decode a successful report, replaying the triggering thread to the
-    watched pc. *)
+    watched pc ({!successful_tails}). *)
+
+val failing_tails : Lir.Irmod.t -> Report.failing_report -> (int * int * int) list
+(** The [fail_tails] {!process_failing} hands {!Trace_processing.process}:
+    [(tid, pc, failure_time_ns)] for the failing thread of a crash, one
+    per blocked thread of a deadlock. *)
+
+val successful_tails : Report.success_report -> (int * int * int) list
+(** The [fail_tails] {!process_successful} uses: the triggering thread,
+    up to the watched pc. *)
 
 val resolve_anchor :
   Lir.Irmod.t -> Trace_processing.t -> Report.failing_report -> int

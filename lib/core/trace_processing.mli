@@ -31,34 +31,22 @@ val process :
   Lir.Irmod.t ->
   config:Pt.Config.t ->
   ?fail_tails:(int * int * int) list ->
-  ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
-  ?engine:[ `Cursor | `Reference ] ->
   (int * bytes) list ->
   t
 (** [?fail_tails] is a list of [(tid, stop_pc, t_hi)]: each named thread's
     replay is extended past its last packet to [stop_pc] (the failing or
     blocked instruction, whose time is known from the failure report).
-    Deadlocks pass one entry per blocked thread.
+    Deadlocks pass one entry per blocked thread; the first entry naming
+    a thread wins.
 
-    Each [(tid, snapshot)] decode is independent (per-thread PT rings).
-    Cache misses are grouped into at most [jobs * 2] cost-balanced chunks
-    (weighted by snapshot size, {!Snorlax_util.Pool.balanced_chunks}) and
-    submitted to a {!Snorlax_util.Pool} batch; the submitting domain
-    merges results in input order concurrently with the in-flight
-    decodes, waiting only when the next trace's chunk has not finished
-    (and helping the pool while it waits).  [?jobs] defaults to
-    {!Snorlax_util.Pool.default_jobs}; [~jobs:1] forces the sequential
-    path.  The output is identical for every pool size.  Decodes are
+    Each [(tid, snapshot)] decodes on its own (per-thread PT rings),
+    inline, with {!Pt.Decoder.decode}; parallelism lives one level up,
+    in the per-bug sweep lanes of [Obs.Scope.sweep].  Decodes are
     memoized through [?cache] (default {!Pt.Decode_cache.shared}; a
-    zero-capacity cache disables memoization); cache and telemetry
-    writes stay on the submitting domain (workers fill private
-    registries, folded back after the batch).
-
-    [?engine] picks the decoder implementation: [`Cursor] (default) is
-    the production {!Pt.Decoder.decode_raw}; [`Reference] routes every
-    decode through the frozen v1 {!Pt.Decoder.decode_reference} — the
-    benchmark's sequential baseline and the differential-test oracle. *)
+    zero-capacity cache disables memoization), and each actual decoder
+    invocation records one [pt/decode_ns] sample and its pt/* counters
+    into the ambient scope. *)
 
 val executes_before : event -> event -> bool
 (** The partial order of §4.1: true when the coarse intervals are disjoint

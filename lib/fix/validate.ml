@@ -318,13 +318,13 @@ let sweep_seed_list ~collected ~seeds =
   in
   f0 :: List.init seeds (fun i -> 100_000 + (211 * i))
 
-let fix_bug ?jobs ?cache ?(seeds = default_sweep_seeds) (bug : Corpus.Bug.t) =
+let fix_bug ?cache ?(seeds = default_sweep_seeds) (bug : Corpus.Bug.t) =
   let t0 = Obs.Span.wall_clock_ns () in
   match Corpus.Runner.collect bug () with
   | Error e -> Error e
   | Ok c ->
     let res =
-      Core.Diagnosis.diagnose ?jobs ?cache c.Corpus.Runner.built.Corpus.Bug.m
+      Core.Diagnosis.diagnose ?cache c.Corpus.Runner.built.Corpus.Bug.m
         ~config:Pt.Config.default ~failing:c.Corpus.Runner.failing
         ~successful:c.Corpus.Runner.successful
     in
@@ -435,15 +435,13 @@ let fix_bug ?jobs ?cache ?(seeds = default_sweep_seeds) (bug : Corpus.Bug.t) =
 
 (* --- the corpus-wide sweep ------------------------------------------------ *)
 
-(* One bug per {!Obs.Scope.sweep} lane; a lane's nested decode is pinned
-   sequential, so the parallel result list equals the sequential one. *)
-let fix_all ?jobs ?sweep_jobs ?cache ?seeds bugs =
+(* One bug per {!Obs.Scope.sweep} lane; each lane decodes inline, so the
+   parallel result list equals the sequential one. *)
+let fix_all ?sweep_jobs ?cache ?seeds bugs =
   let sj = match sweep_jobs with Some j -> max 1 j | None -> 1 in
-  let jobs = if sj > 1 then Some 1 else jobs in
   Array.to_list
     (Obs.Scope.sweep ~jobs:sj
-       (fun _ (b : Corpus.Bug.t) ->
-         (b.Corpus.Bug.id, fix_bug ?jobs ?cache ?seeds b))
+       (fun _ (b : Corpus.Bug.t) -> (b.Corpus.Bug.id, fix_bug ?cache ?seeds b))
        (Array.of_list bugs))
 
 (* --- reporting ------------------------------------------------------------ *)

@@ -70,7 +70,6 @@ val judge_patch :
 val default_sweep_seeds : int
 
 val fix_bug :
-  ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
   ?seeds:int ->
   Corpus.Bug.t ->
@@ -81,16 +80,14 @@ val fix_bug :
     and [fix/regressed] counters into the ambient {!Obs.Scope}. *)
 
 val fix_all :
-  ?jobs:int ->
   ?sweep_jobs:int ->
   ?cache:Pt.Decode_cache.t ->
   ?seeds:int ->
   Corpus.Bug.t list ->
   (string * (bug_report, string) result) list
 (** [fix_bug] over a bug list, tagged by bug id, in input order.
-    [sweep_jobs] (default 1) fans one bug per {!Obs.Scope.sweep} lane;
-    above 1, [jobs] is ignored and each lane decodes sequentially.  The
-    parallel sweep returns exactly the sequential sweep's list. *)
+    [sweep_jobs] (default 1) fans one bug per {!Obs.Scope.sweep} lane.
+    The parallel sweep returns exactly the sequential sweep's list. *)
 
 type summary = {
   bugs : int;

@@ -71,16 +71,12 @@ let key s =
   Printf.sprintf "%s|%s|%d|%s" s.bug_id s.kind s.failing_pc
     (String.concat ">" (List.map string_of_int s.block_stack))
 
-(* Tables only show the newest three stack entries; [key] keeps them all. *)
+(* The whole retained stack: [key] minus the bug id, so two buckets of
+   one bug never print alike. *)
 let to_string s =
   let via =
     match s.block_stack with
     | [] -> ""
-    | pcs ->
-      let n = List.length pcs in
-      let shown = List.filteri (fun i _ -> i >= n - 3) pcs in
-      Printf.sprintf " via %s%s"
-        (if n > 3 then "..>" else "")
-        (String.concat ">" (List.map (Printf.sprintf "0x%x") shown))
+    | pcs -> " via " ^ String.concat ">" (List.map (Printf.sprintf "0x%x") pcs)
   in
   Printf.sprintf "%s@0x%x%s" s.kind s.failing_pc via

@@ -35,4 +35,6 @@ val key : t -> string
 (** Stable bucketing key; equal signatures have equal keys. *)
 
 val to_string : t -> string
-(** Short human form for tables, e.g. ["assert@0x2a4 via 0x280>0x29c"]. *)
+(** Human form for tables: kind, failing pc and every retained
+    block-stack entry, e.g. ["assert@0x2a4 via 0x280>0x29c"] — {!key}
+    without the bug id, so buckets of one bug print distinctly. *)

@@ -11,7 +11,7 @@ type ctx = {
 (* Domain-local: each domain sees its own (usually absent) context, so a
    worker domain's recording calls are no-ops unless the worker installed
    a private context with [using].  This is what makes the ambient calls
-   sprinkled through the decoder/collector safe to run on pool domains —
+   sprinkled through the decoder/collector safe to run on sweep lanes —
    they never touch another domain's registry. *)
 let state : ctx option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -121,17 +121,15 @@ let sweep ~jobs f items =
     let telemetry = enabled () in
     let regs = Array.make n None in
     let out =
-      Pool.with_pool ~jobs:lanes (fun pool ->
-          Pool.map pool
-            (fun i x ->
-              Pool.with_default_jobs 1 @@ fun () ->
-              if telemetry then begin
-                let c = make () in
-                regs.(i) <- Some c.metrics;
-                using c (fun () -> f i x)
-              end
-              else f i x)
-            items)
+      Pool.map ~jobs:lanes
+        (fun i x ->
+          if telemetry then begin
+            let c = make () in
+            regs.(i) <- Some c.metrics;
+            using c (fun () -> f i x)
+          end
+          else f i x)
+        items
     in
     Array.iter (Option.iter merge_worker) regs;
     out

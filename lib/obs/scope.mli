@@ -9,11 +9,10 @@
 
     The context slot is domain-local ([Domain.DLS]): a freshly spawned
     domain always starts with no scope, so ambient recording calls on
-    pool worker domains are no-ops unless the worker installs a private
-    context with {!using}.  Cross-domain telemetry therefore
-    flows one way only — workers record into contexts they own, and the
-    submitting domain folds those registries back in with
-    {!merge_worker} after a barrier. *)
+    sweep lane domains are no-ops unless the lane installs a private
+    context with {!using}.  Cross-domain telemetry therefore flows one
+    way only — lanes record into contexts they own, and {!sweep} folds
+    those registries back into the calling domain's after the batch. *)
 
 type ctx = {
   metrics : Metrics.t;
@@ -63,23 +62,16 @@ val timed : string -> (unit -> 'a) -> 'a
     Like {!with_span}, completing a timed section samples changed
     counters/gauges into the Chrome-trace time series. *)
 
-val merge_worker : Metrics.t -> unit
-(** Fold a pool-worker's private registry into the ambient one
-    ({!Metrics.merge}); no-op when disabled.  This is how domain-local
-    telemetry rejoins the main registry — workers must never touch the
-    ambient context directly. *)
-
 val sweep : jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** [sweep ~jobs f items] is [Array.mapi f items] fanned across
-    [min jobs cores (length items)] lanes of a scoped
-    {!Snorlax_util.Pool}, results in input order.  The one way a corpus
-    sweep goes parallel: inside each item nested
-    {!Snorlax_util.Pool.default_jobs} is pinned to 1, and when a scope
-    is enabled the item records into a private context whose metrics are
-    folded into the ambient registry with {!merge_worker}, in input
-    order, after the batch (spans recorded inside items are dropped).
-    With one lane it is exactly [Array.mapi f items] on the calling
-    domain — no pool, no pinning, the ambient scope visible to [f].  An
+    [min jobs cores (length items)] lanes of {!Snorlax_util.Pool.map},
+    results in input order.  The one way Snorlax goes parallel: work
+    inside an item (decode included) runs inline on its lane, and when a
+    scope is enabled the item records into a private context whose
+    metrics are folded into the ambient registry ({!Metrics.merge}), in
+    input order, after the batch (spans recorded inside items are
+    dropped).  With one lane it is exactly [Array.mapi f items] on the
+    calling domain — no domains, the ambient scope visible to [f].  An
     item's exception cancels the unclaimed items and is re-raised. *)
 
 val export_chrome : unit -> Json.t option

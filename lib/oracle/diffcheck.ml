@@ -27,7 +27,6 @@ type bug_result = {
   spurious : (int * int) list;
   missed : Hb.race list;
   extra_races : int;
-  decoder_mismatches : int;
   notes : string list;
 }
 
@@ -178,12 +177,12 @@ let classify ~(res : Core.Diagnosis.result) ~engine ~races ~bug_kind =
   in
   (classification, checked, spurious, missed, extra_races, List.rev !notes)
 
-let check_bug ?jobs ?cache (bug : Corpus.Bug.t) =
+let check_bug ?cache (bug : Corpus.Bug.t) =
   match Corpus.Runner.collect bug () with
   | Error e -> Error e
   | Ok c ->
     let res =
-      Core.Diagnosis.diagnose ?jobs ?cache c.Corpus.Runner.built.Corpus.Bug.m
+      Core.Diagnosis.diagnose ?cache c.Corpus.Runner.built.Corpus.Bug.m
         ~config:Pt.Config.default ~failing:c.Corpus.Runner.failing
         ~successful:c.Corpus.Runner.successful
     in
@@ -212,42 +211,6 @@ let check_bug ?jobs ?cache (bug : Corpus.Bug.t) =
     let classification, checked, spurious, missed, extra_races, notes =
       classify ~res ~engine ~races ~bug_kind:bug.Corpus.Bug.kind
     in
-    (* Decoder engine differential: the production cursor walker and the
-       frozen v1 reference pipeline must agree bit-for-bit on every
-       report of every corpus bug — events, lost bytes and desyncs
-       alike.  Decoding is cheap next to reproduction, so this rides the
-       registry-wide cross-check for free (cache disabled: both engines
-       must actually decode). *)
-    let decoder_mismatches =
-      let nocache = Pt.Decode_cache.create ~capacity:0 () in
-      let m = c.Corpus.Runner.built.Corpus.Bug.m in
-      let tp_equal (a : Core.Trace_processing.t) (b : Core.Trace_processing.t)
-          =
-        a.Core.Trace_processing.events = b.Core.Trace_processing.events
-        && a.Core.Trace_processing.lost_bytes
-           = b.Core.Trace_processing.lost_bytes
-        && a.Core.Trace_processing.desynced_tids
-           = b.Core.Trace_processing.desynced_tids
-      in
-      let bad = ref 0 in
-      List.iter
-        (fun r ->
-          let go engine =
-            Core.Diagnosis.process_failing m ~config:Pt.Config.default ~jobs:1
-              ~cache:nocache ~engine r
-          in
-          if not (tp_equal (go `Cursor) (go `Reference)) then incr bad)
-        c.Corpus.Runner.failing;
-      List.iter
-        (fun s ->
-          let go engine =
-            Core.Diagnosis.process_successful m ~config:Pt.Config.default
-              ~jobs:1 ~cache:nocache ~engine s
-          in
-          if not (tp_equal (go `Cursor) (go `Reference)) then incr bad)
-        c.Corpus.Runner.successful;
-      !bad
-    in
     let r =
       {
         bug_id = bug.Corpus.Bug.id;
@@ -264,7 +227,6 @@ let check_bug ?jobs ?cache (bug : Corpus.Bug.t) =
         spurious;
         missed;
         extra_races;
-        decoder_mismatches;
         notes = replay_notes @ notes;
       }
     in
@@ -274,12 +236,11 @@ let check_bug ?jobs ?cache (bug : Corpus.Bug.t) =
 
 (* The registry-wide sweep, one bug per {!Obs.Scope.sweep} lane.  The
    only state lanes share is the decode cache, which is lock-striped. *)
-let check_all ?jobs ?sweep_jobs ?cache bugs =
+let check_all ?sweep_jobs ?cache bugs =
   let sj = match sweep_jobs with Some j -> max 1 j | None -> 1 in
-  let jobs = if sj > 1 then Some 1 else jobs in
   Array.to_list
     (Obs.Scope.sweep ~jobs:sj
-       (fun _ (b : Corpus.Bug.t) -> (b.Corpus.Bug.id, check_bug ?jobs ?cache b))
+       (fun _ (b : Corpus.Bug.t) -> (b.Corpus.Bug.id, check_bug ?cache b))
        (Array.of_list bugs))
 
 let ordering_name = function
@@ -331,7 +292,6 @@ let result_json (r : bug_result) =
                Obs.Json.List [ Obs.Json.Int m.a_iid; Obs.Json.Int m.b_iid ])
              r.missed) );
       ("extra_races", Obs.Json.Int r.extra_races);
-      ("decoder_mismatches", Obs.Json.Int r.decoder_mismatches);
       ("notes", Obs.Json.List (List.map (fun s -> Obs.Json.String s) r.notes));
     ]
 

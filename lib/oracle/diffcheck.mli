@@ -59,15 +59,11 @@ type bug_result = {
   spurious : (int * int) list;  (** claimed pairs the oracle rejects *)
   missed : Analysis.Hb.race list;  (** uncovered anchor races *)
   extra_races : int;  (** racy pairs unrelated to the diagnosis *)
-  decoder_mismatches : int;
-      (** reports whose trace processing differed between the production
-          cursor decoder and the frozen v1 reference — must be 0: the two
-          engines are bit-identical by contract *)
   notes : string list;
 }
 
 val check_bug :
-  ?jobs:int -> ?cache:Pt.Decode_cache.t -> Corpus.Bug.t ->
+  ?cache:Pt.Decode_cache.t -> Corpus.Bug.t ->
   (bug_result, string) result
 (** Full differential check of one bug: reproduce (via
     {!Corpus.Runner.collect}), diagnose, oracle-replay, classify.
@@ -76,15 +72,13 @@ val check_bug :
     {!Obs.Scope} when one is enabled. *)
 
 val check_all :
-  ?jobs:int ->
   ?sweep_jobs:int ->
   ?cache:Pt.Decode_cache.t ->
   Corpus.Bug.t list ->
   (string * (bug_result, string) result) list
 (** [check_bug] over a bug list, tagged by bug id, in registry order.
     [sweep_jobs] (default 1 = sequential) fans one bug per
-    {!Obs.Scope.sweep} lane; above 1, [jobs] is ignored and each lane
-    decodes sequentially.  The result list is identical to the
+    {!Obs.Scope.sweep} lane.  The result list is identical to the
     sequential sweep's. *)
 
 val diverged : bug_result -> bool

@@ -8,15 +8,12 @@
     time interval [t_lo, t_hi] bounded by the timing packets around it.
     Those intervals are exactly the partial order of §4.1 (step 3).
 
-    Two interchangeable implementations share the {!result} contract.
-    {!decode_raw} is the production path: an allocation-free
-    {!Packet.Cursor} feeds a walker that resolves control flow through a
-    pc-indexed table precomputed per module layout, accumulating steps in
-    a per-domain arena reused across the decodes of a batch.
-    {!decode_reference} is the frozen v1 list pipeline, kept as the
-    benchmark's sequential baseline and the differential-testing oracle:
-    on any input — the full corpus, corrupt rings — the two must return
-    bit-identical results. *)
+    An allocation-free {!Packet.Cursor} feeds a walker that resolves
+    control flow through a pc-indexed table precomputed per module
+    layout, accumulating steps in a per-domain arena reused across
+    decodes.  The frozen v1 list pipeline it replaced is kept in the test
+    suite as the differential oracle: on any input — the full corpus,
+    corrupt rings — the two must return bit-identical results. *)
 
 type step = {
   pc : int;
@@ -48,30 +45,3 @@ val decode :
     branch-free code until [pc] (the failing instruction, whose time is
     known from the failure report) — the paper's crash pc binding.
     Records pt/* telemetry into the ambient {!Obs.Scope}. *)
-
-val decode_raw :
-  Lir.Irmod.t -> config:Config.t -> ?tail_stop:int * int -> bytes -> result
-(** Exactly {!decode} minus the telemetry.  The ambient scope is not
-    domain-safe, so parallel decode fans this across a
-    {!Snorlax_util.Pool} and the submitting domain records metrics per
-    result afterwards with {!record_metrics}. *)
-
-val decode_reference :
-  Lir.Irmod.t -> config:Config.t -> ?tail_stop:int * int -> bytes -> result
-(** The frozen v1 pipeline ([Packet.decode_stream] → two-pass
-    timestamping → hashtable-lookup walker), extended only to expand
-    {!Packet.Tnt_packed} runs into per-bit TNT before timestamping.
-    Same contract as {!decode_raw}; exists for benchmarking (the
-    sequential cold baseline) and differential tests. *)
-
-val prepare : Lir.Irmod.t -> unit
-(** Lay the module out and build the decoder's pc-indexed walk table
-    eagerly.  Called from the submitting domain before fanning a batch
-    across a pool so worker domains only read the shared cache. *)
-
-val record_metrics : ?into:Obs.Metrics.t -> result -> snapshot_bytes:int -> unit
-(** Record one decode's pt/* counters (calls, steps, lost bytes, desyncs,
-    thread exits, snapshot size).  Without [into], records into the
-    ambient scope (no-op when disabled).  With [into], records into that
-    registry directly — a pool worker's private registry, later folded
-    back with {!Obs.Scope.merge_worker}. *)

@@ -146,8 +146,8 @@ let add_tp t ~is_failing tp =
     t.derived <- None
   end
 
-let add_failing t ?jobs ?cache (r : Report.failing_report) =
-  let tp = Core.Diagnosis.process_failing t.m ~config:t.config ?jobs ?cache r in
+let add_failing t ?cache (r : Report.failing_report) =
+  let tp = Core.Diagnosis.process_failing t.m ~config:t.config ?cache r in
   (match t.first with
   | None ->
     t.first <- Some r;
@@ -155,10 +155,8 @@ let add_failing t ?jobs ?cache (r : Report.failing_report) =
   | Some _ -> ());
   add_tp t ~is_failing:true tp
 
-let add_successful t ?jobs ?cache (s : Report.success_report) =
-  let tp =
-    Core.Diagnosis.process_successful t.m ~config:t.config ?jobs ?cache s
-  in
+let add_successful t ?cache (s : Report.success_report) =
+  let tp = Core.Diagnosis.process_successful t.m ~config:t.config ?cache s in
   add_tp t ~is_failing:false tp
 
 let results t =

@@ -46,7 +46,6 @@ val create : Lir.Irmod.t -> config:Pt.Config.t -> t
 
 val add_failing :
   t ->
-  ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
   Snorlax_core.Report.failing_report ->
   unit
@@ -56,7 +55,6 @@ val add_failing :
 
 val add_successful :
   t ->
-  ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
   Snorlax_core.Report.success_report ->
   unit

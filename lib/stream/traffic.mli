@@ -42,11 +42,11 @@ type baseline = private {
 val prepare :
   ?config:Pt.Config.t -> ?jobs:int -> Corpus.Bug.t list -> baseline list
 (** Reproduce each bug once (the expensive simulator runs), fanning the
-    corpus across a scoped domain pool ([jobs] lanes, default
-    {!Snorlax_util.Pool.default_jobs}; nested decode inside each lane is
-    sequential).  Results keep input order and bugs that fail to
-    reproduce are dropped with a [stream/baseline_failed] warning, so
-    the output is identical to a sequential loop.  Prepared baselines
+    corpus across {!Obs.Scope.sweep} lanes ([jobs], default
+    {!Snorlax_util.Pool.default_jobs}).  Results keep input order and
+    bugs that fail to reproduce are dropped with a
+    [stream/baseline_failed] warning, so the output is identical to a
+    sequential loop.  Prepared baselines
     can feed several {!create} calls sharing one reproduction. *)
 
 val create :

@@ -489,47 +489,27 @@ let corpus_reports =
              (keep 2 c.Corpus.Runner.successful))
        (List.filteri (fun i _ -> i < 3) Corpus.Registry.eval_set))
 
-let process_report ~jobs ~cache m report =
+let process_report ~cache m report =
   match report with
   | `Failing r ->
-    Core.Diagnosis.process_failing ~jobs ~cache m ~config:Pt.Config.default r
+    Core.Diagnosis.process_failing ~cache m ~config:Pt.Config.default r
   | `Success s ->
-    Core.Diagnosis.process_successful ~jobs ~cache m ~config:Pt.Config.default
-      s
-
-let test_parallel_decode_deterministic () =
-  List.iter
-    (fun (id, m, report) ->
-      let no_cache = Pt.Decode_cache.create ~capacity:0 () in
-      let base = process_report ~jobs:1 ~cache:no_cache m report in
-      List.iter
-        (fun jobs ->
-          let tp = process_report ~jobs ~cache:no_cache m report in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: jobs=%d equals sequential" id jobs)
-            true (tp_equal base tp))
-        [ 2; 4 ])
-    (Lazy.force corpus_reports)
+    Core.Diagnosis.process_successful ~cache m ~config:Pt.Config.default s
 
 let test_cached_decode_deterministic () =
   List.iter
     (fun (id, m, report) ->
       let no_cache = Pt.Decode_cache.create ~capacity:0 () in
-      let base = process_report ~jobs:1 ~cache:no_cache m report in
+      let base = process_report ~cache:no_cache m report in
       let cache = Pt.Decode_cache.create ~capacity:64 () in
-      let cold = process_report ~jobs:1 ~cache m report in
-      let warm = process_report ~jobs:1 ~cache m report in
-      (* A warm parallel run exercises both perf paths at once. *)
-      let warm_par = process_report ~jobs:4 ~cache m report in
+      let cold = process_report ~cache m report in
+      let warm = process_report ~cache m report in
       Alcotest.(check bool)
         (Printf.sprintf "%s: cold cached equals uncached" id)
         true (tp_equal base cold);
       Alcotest.(check bool)
         (Printf.sprintf "%s: warm equals cold" id)
         true (tp_equal cold warm);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: warm parallel equals cold" id)
-        true (tp_equal cold warm_par);
       let s = Pt.Decode_cache.stats cache in
       Alcotest.(check bool)
         (Printf.sprintf "%s: warm runs actually hit" id)
@@ -577,13 +557,13 @@ let test_cache_correct_on_corrupt_rings () =
       let no_cache = Pt.Decode_cache.create ~capacity:0 () in
       let cache = Pt.Decode_cache.create ~capacity:64 () in
       let base =
-        Tp.process m ~config:Pt.Config.default ~jobs:1 ~cache:no_cache traces
+        Tp.process m ~config:Pt.Config.default ~cache:no_cache traces
       in
       let cold =
-        Tp.process m ~config:Pt.Config.default ~jobs:1 ~cache traces
+        Tp.process m ~config:Pt.Config.default ~cache traces
       in
       let warm =
-        Tp.process m ~config:Pt.Config.default ~jobs:1 ~cache traces
+        Tp.process m ~config:Pt.Config.default ~cache traces
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: cached equals uncached" name)
@@ -603,7 +583,7 @@ let test_diagnosis_stable_under_warm_cache () =
   let m = c.Corpus.Runner.built.Corpus.Bug.m in
   let cache = Pt.Decode_cache.create ~capacity:256 () in
   let diagnose () =
-    Core.Diagnosis.diagnose ~jobs:1 ~cache m ~config:Pt.Config.default
+    Core.Diagnosis.diagnose ~cache m ~config:Pt.Config.default
       ~failing:c.Corpus.Runner.failing
       ~successful:c.Corpus.Runner.successful
   in
@@ -670,8 +650,6 @@ let tests =
       ] );
     ( "core.decode_perf_paths",
       [
-        Alcotest.test_case "pool sizes 1/2/4 identical" `Quick
-          test_parallel_decode_deterministic;
         Alcotest.test_case "cache on/off/warm identical" `Quick
           test_cached_decode_deterministic;
         Alcotest.test_case "cache correct on corrupt rings" `Quick

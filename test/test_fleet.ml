@@ -688,6 +688,27 @@ let check_matches_reference ~endpoints ids =
   Alcotest.(check (list int)) "tracker held / dropped, shed" [ 0; 0; 0 ]
     [ s.Deploy.tracker_held; s.Deploy.tracker_dropped; s.Deploy.shed ]
 
+(* Every bucket of a run is a distinct [Signature.key]; its printed
+   signature must tell it apart from the bug's other buckets.  With
+   8 endpoints over the evaluation set, mysql-1 and httpd-1 each get two
+   buckets that share kind, failing pc and the newest block entries, so
+   printing less than the whole retained stack made their rows
+   identical.  (Different bugs may print alike: the bug column tells
+   them apart, as [key] does.) *)
+let test_bucket_signatures_distinct () =
+  let s = Deploy.run_once ~endpoints:8 Corpus.Registry.eval_set in
+  let printed =
+    List.map (fun (r : Deploy.bucket_row) -> (r.Deploy.bug_id, r.Deploy.signature)) s.Deploy.rows
+  in
+  Alcotest.(check int) "one row per bucket" s.Deploy.bucket_count (List.length printed);
+  Alcotest.(check bool) "several buckets for one bug" true
+    (List.length (List.filter (fun (b, _) -> b = "mysql-1") printed) > 1);
+  Alcotest.(check (list (pair string string)))
+    "no two buckets print the same (bug, signature)" []
+    (List.filter
+       (fun p -> List.length (List.filter (( = ) p) printed) > 1)
+       printed)
+
 let test_run_once_matches_reference () =
   check_matches_reference ~endpoints:3 [ "pbzip2-1" ];
   check_matches_reference ~endpoints:2 [ "mysql-1"; "aget-1" ]
@@ -813,6 +834,8 @@ let tests =
           test_deploy_tick_hook;
         Alcotest.test_case "run_once equals the frozen batch loop" `Quick
           test_run_once_matches_reference;
+        Alcotest.test_case "distinct buckets print distinct signatures" `Quick
+          test_bucket_signatures_distinct;
         qtest prop_wire_stream_preserves_provenance;
       ] );
   ]

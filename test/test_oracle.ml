@@ -1,8 +1,7 @@
 (* End-to-end differential checks: the happens-before oracle must agree
-   with the diagnosis pipeline on every corpus bug, and the diagnosis
-   must be bit-identical across decode parallelism levels. *)
-
-module Core = Snorlax_core
+   with the diagnosis pipeline on every corpus bug, the parallel sweep
+   must equal the sequential one, and the production decoder must equal
+   the frozen v1 decoder on every report of every corpus bug. *)
 
 let test_full_registry_agreement () =
   List.iter
@@ -19,37 +18,43 @@ let test_full_registry_agreement () =
         Alcotest.(check bool)
           (bug.Corpus.Bug.id ^ " spurious pairs")
           true
-          (r.Oracle.Diffcheck.spurious = []);
-        Alcotest.(check int)
-          (bug.Corpus.Bug.id ^ " decoder engines agree")
-          0 r.Oracle.Diffcheck.decoder_mismatches)
+          (r.Oracle.Diffcheck.spurious = []))
     Corpus.Registry.all
 
-(* The scored pattern list — order included, since statistics tie-breaks
-   depend on it — must not vary with how many domains decoded the
-   traces. *)
-let test_decode_jobs_determinism () =
-  List.iter
-    (fun id ->
-      let bug = Corpus.Registry.find_exn id in
-      match Corpus.Runner.collect bug () with
-      | Error e -> Alcotest.failf "%s failed to reproduce: %s" id e
-      | Ok c ->
-        let ids jobs =
-          let res =
-            Core.Diagnosis.diagnose ~jobs c.Corpus.Runner.built.Corpus.Bug.m
-              ~config:Pt.Config.default ~failing:c.Corpus.Runner.failing
+(* The cursor == reference differential: every failing and successful
+   report's traces of all 54 corpus bugs, decoded by [Pt.Decoder.decode]
+   and by the frozen v1 pipeline on the same (snapshot, tail stop)
+   inputs diagnosis uses, must give bit-identical results — steps, lost
+   bytes, desync and thread-end flags alike. *)
+let test_decoder_matches_reference () =
+  let config = Pt.Config.default in
+  let mismatches =
+    List.concat_map
+      (fun (bug : Corpus.Bug.t) ->
+        match Corpus.Runner.collect bug () with
+        | Error e ->
+          Alcotest.failf "%s failed to reproduce: %s" bug.Corpus.Bug.id e
+        | Ok c ->
+          let m = c.Corpus.Runner.built.Corpus.Bug.m in
+          let inputs =
+            Ref_decoder.report_inputs m ~failing:c.Corpus.Runner.failing
               ~successful:c.Corpus.Runner.successful
           in
-          List.map
-            (fun (s : Core.Statistics.scored) ->
-              Core.Patterns.id s.Core.Statistics.pattern)
-            res.Core.Diagnosis.scored
-        in
-        let sequential = ids 1 in
-        Alcotest.(check (list string)) (id ^ " jobs=2") sequential (ids 2);
-        Alcotest.(check (list string)) (id ^ " jobs=4") sequential (ids 4))
-    [ "mysql-5"; "mysql-7"; "httpd-1" ]
+          Alcotest.(check bool)
+            (bug.Corpus.Bug.id ^ " has traces to decode")
+            true (inputs <> []);
+          List.filter_map
+            (fun (snapshot, tail_stop) ->
+              if
+                Pt.Decoder.decode m ~config ?tail_stop snapshot
+                = Ref_decoder.decode m ~config ?tail_stop snapshot
+              then None
+              else Some bug.Corpus.Bug.id)
+            inputs)
+      Corpus.Registry.all
+  in
+  Alcotest.(check int) "corpus size" 54 (List.length Corpus.Registry.all);
+  Alcotest.(check (list string)) "traces whose decodes differ" [] mismatches
 
 (* The corpus sweep itself parallelizes (one lane per bug): the result
    list must come back in input order with results identical to the
@@ -69,8 +74,7 @@ let test_sweep_jobs_determinism () =
             Ok
               ( Oracle.Diffcheck.classification_name
                   r.Oracle.Diffcheck.classification,
-                r.Oracle.Diffcheck.spurious,
-                r.Oracle.Diffcheck.decoder_mismatches ) ))
+                r.Oracle.Diffcheck.spurious ) ))
       r
   in
   let seq = strip (Oracle.Diffcheck.check_all bugs) in
@@ -89,8 +93,8 @@ let tests =
       [
         Alcotest.test_case "all 54 corpus bugs agree" `Quick
           test_full_registry_agreement;
-        Alcotest.test_case "decode-jobs 1/2/4 determinism" `Quick
-          test_decode_jobs_determinism;
+        Alcotest.test_case "cursor decoder equals v1 on all 54 bugs" `Quick
+          test_decoder_matches_reference;
         Alcotest.test_case "sweep-jobs 1/4 determinism" `Quick
           test_sweep_jobs_determinism;
       ] );

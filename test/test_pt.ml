@@ -517,7 +517,7 @@ let prop_decoder_total_on_corrupt_rings =
              must degrade identically in both. *)
           match
             ( Pt.Decoder.decode m ~config:Pt.Config.default ring,
-              Pt.Decoder.decode_reference m ~config:Pt.Config.default ring )
+              Ref_decoder.decode m ~config:Pt.Config.default ring )
           with
           | a, b -> a = b
           | exception _ -> false)
@@ -549,13 +549,13 @@ let test_thread_ended_surfaced () =
   let d = Pt.Decoder.decode m ~config cut in
   Alcotest.(check bool) "truncated trace is not ended" false
     d.Pt.Decoder.thread_ended;
-  (* Both engines agree on the flag. *)
+  (* The frozen v1 decoder agrees on the flag. *)
   List.iter
     (fun (_, ring) ->
       Alcotest.(check bool)
-        "engines agree on thread_ended"
-        (Pt.Decoder.decode_raw m ~config ring).Pt.Decoder.thread_ended
-        (Pt.Decoder.decode_reference m ~config ring).Pt.Decoder.thread_ended)
+        "v1 decoder agrees on thread_ended"
+        (Pt.Decoder.decode m ~config ring).Pt.Decoder.thread_ended
+        (Ref_decoder.decode m ~config ring).Pt.Decoder.thread_ended)
     traces
 
 let test_decoder_mismatched_stream_desyncs () =

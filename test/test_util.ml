@@ -530,159 +530,77 @@ let prop_dynbuf_matches_list =
 (* --- pool --------------------------------------------------------------- *)
 
 (* The determinism contract: map output must be identical to a sequential
-   run for every pool size, including sizes above the item count. *)
+   run for every lane count, including counts above the item count. *)
 let test_pool_map_matches_sequential () =
   let input = Array.init 57 (fun i -> i) in
   let f _ x = (x * 2) + 1 in
   let expected = Array.mapi f input in
   List.iter
     (fun jobs ->
-      let p = Pool.create ~jobs in
       Alcotest.(check (array int))
         (Printf.sprintf "jobs=%d" jobs)
-        expected (Pool.map p f input);
-      Pool.shutdown p)
+        expected (Pool.map ~jobs f input))
     [ 1; 2; 4; 64 ]
 
 let test_pool_run_covers_all_indices () =
-  let p = Pool.create ~jobs:4 in
   let hits = Array.make 100 0 in
   (* Slots are disjoint per index, so unsynchronized writes are safe. *)
-  Pool.run p 100 (fun i -> hits.(i) <- hits.(i) + 1);
-  Pool.shutdown p;
+  ignore (Pool.map ~jobs:4 (fun i () -> hits.(i) <- hits.(i) + 1) (Array.make 100 ()));
   Alcotest.(check (array int)) "each index exactly once" (Array.make 100 1) hits
 
 let test_pool_empty_batch () =
-  let p = Pool.create ~jobs:2 in
-  Pool.run p 0 (fun _ -> Alcotest.fail "batch of 0 must not call f");
-  Alcotest.(check (array int)) "empty map" [||] (Pool.map p (fun _ x -> x) [||]);
-  Pool.shutdown p
+  Alcotest.(check (array int))
+    "empty map" [||]
+    (Pool.map ~jobs:2 (fun _ _ -> Alcotest.fail "batch of 0 must not call f") [||])
 
 let test_pool_propagates_exception () =
   (* Fail fast: the first exception cancels the unclaimed rest of the
      batch.  Inline (jobs=1) the claim order is the index order, so the
      cut-off is exact: nothing after the poisoned item runs. *)
-  let p = Pool.create ~jobs:1 in
   let completed = Atomic.make 0 in
   let raised =
     match
-      Pool.run p 10 (fun i ->
-          if i = 3 then failwith "boom" else Atomic.incr completed)
+      Pool.map ~jobs:1
+        (fun i () -> if i = 3 then failwith "boom" else Atomic.incr completed)
+        (Array.make 10 ())
     with
-    | () -> false
+    | _ -> false
     | exception Failure msg -> msg = "boom"
   in
-  Pool.shutdown p;
   Alcotest.(check bool) "re-raises" true raised;
   Alcotest.(check int) "stops at the poisoned item" 3 (Atomic.get completed)
 
 let test_pool_cancels_rest_on_failure () =
-  (* One poisoned trace must fail the batch fast, not after the pool has
+  (* One poisoned item must fail the batch fast, not after the lanes have
      chewed through everything behind it.  Item 0 fails immediately;
      items already claimed by other domains may still finish, but the
      bulk of the batch must be cancelled, never run. *)
   let n = 10_000 in
-  let p = Pool.create ~jobs:3 in
   let completed = Atomic.make 0 in
   let raised =
     match
-      Pool.run p n (fun i ->
-          if i = 0 then failwith "poison" else Atomic.incr completed)
+      Pool.map ~jobs:3
+        (fun i () -> if i = 0 then failwith "poison" else Atomic.incr completed)
+        (Array.make n ())
     with
-    | () -> false
+    | _ -> false
     | exception Failure msg -> msg = "poison"
   in
-  Pool.shutdown p;
   Alcotest.(check bool) "re-raises" true raised;
   Alcotest.(check bool)
     "most of the batch never ran" true
     (Atomic.get completed < n / 2)
 
-let test_pool_get_jobs1_is_sequential () =
-  (* Regression: [get ~jobs:1] used to reuse any existing bigger shared
-     pool, silently running "sequential" decode paths (including the
-     benchmark's sequential baseline) in parallel.  A jobs:1 request must
-     run every item on the submitting domain. *)
-  let (_ : Pool.t) = Pool.get ~jobs:4 in
-  let p = Pool.get ~jobs:1 in
-  Alcotest.(check int) "jobs honored" 1 (Pool.jobs p);
-  let self = Domain.self () in
-  let elsewhere = Atomic.make 0 in
-  Pool.run p 32 (fun _ ->
-      if not (Domain.self () = self) then Atomic.incr elsewhere);
-  Alcotest.(check int) "all items on the submitting domain" 0
-    (Atomic.get elsewhere)
-
-let test_pool_submit_overlaps_merge () =
-  let p = Pool.create ~jobs:2 in
-  let results = Array.make 16 0 in
-  let h = Pool.submit p 16 (fun i -> results.(i) <- (i * i) + 1) in
-  (* Consume in input order while the batch is in flight — the shape of
-     the overlapped decode merge. *)
-  for i = 0 to 15 do
-    Pool.wait_item p h i;
-    Alcotest.(check int) (Printf.sprintf "item %d" i) ((i * i) + 1) results.(i)
-  done;
-  Pool.await p h;
-  (* The pool is free again for the next batch. *)
-  let h2 = Pool.submit p 4 (fun i -> results.(i) <- -i) in
-  Pool.await p h2;
-  Pool.shutdown p;
-  Alcotest.(check int) "second batch ran" (-3) results.(3)
-
-let test_pool_balanced_chunks () =
-  let weights = [| 50; 1; 90; 3; 3; 70; 2; 2 |] in
-  let chunks = Pool.balanced_chunks ~weights ~chunks:3 in
-  Alcotest.(check bool)
-    "at most the requested chunks" true
-    (Array.length chunks <= 3);
-  let seen = Array.make (Array.length weights) 0 in
-  Array.iter (Array.iter (fun i -> seen.(i) <- seen.(i) + 1)) chunks;
-  Alcotest.(check (array int))
-    "each index in exactly one chunk"
-    (Array.make (Array.length weights) 1)
-    seen;
-  (* Greedy LPT keeps the heaviest chunk well under the all-in-one total:
-     with these weights no chunk should exceed half the grand total. *)
-  let total = Array.fold_left ( + ) 0 weights in
-  Array.iter
-    (fun c ->
-      let w = Array.fold_left (fun acc i -> acc + weights.(i)) 0 c in
-      Alcotest.(check bool) "no chunk dominates" true (w * 2 <= total + 90))
-    chunks
-
-let prop_pool_balanced_chunks_partition =
-  QCheck.Test.make ~name:"balanced_chunks is a deterministic exact partition"
-    ~count:200
-    QCheck.(pair (int_range 1 6) (list small_nat))
-    (fun (chunks, ws) ->
-      let weights = Array.of_list ws in
-      let a = Pool.balanced_chunks ~weights ~chunks in
-      let b = Pool.balanced_chunks ~weights ~chunks in
-      let seen = Array.make (Array.length weights) 0 in
-      Array.iter (Array.iter (fun i -> seen.(i) <- seen.(i) + 1)) a;
-      a = b
-      && Array.length a <= chunks
-      && Array.for_all (fun c -> Array.length c > 0) a
-      && Array.for_all (( = ) 1) seen)
-
 let test_pool_reusable_after_batch () =
-  let p = Pool.create ~jobs:3 in
-  let a = Pool.map p (fun _ x -> x + 1) (Array.init 20 (fun i -> i)) in
-  let b = Pool.map p (fun _ x -> x * 3) (Array.init 31 (fun i -> i)) in
-  Pool.shutdown p;
+  (* No state outlives a batch: a failed batch leaves the next one
+     unaffected. *)
+  (match Pool.map ~jobs:3 (fun _ _ -> failwith "first") [| 1; 2; 3 |] with
+  | _ -> Alcotest.fail "expected raise"
+  | exception Failure _ -> ());
+  let a = Pool.map ~jobs:3 (fun _ x -> x + 1) (Array.init 20 (fun i -> i)) in
+  let b = Pool.map ~jobs:3 (fun _ x -> x * 3) (Array.init 31 (fun i -> i)) in
   Alcotest.(check (array int)) "first batch" (Array.init 20 (fun i -> i + 1)) a;
   Alcotest.(check (array int)) "second batch" (Array.init 31 (fun i -> i * 3)) b
-
-let test_pool_shutdown_idempotent () =
-  let p = Pool.create ~jobs:2 in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  (* A stopped pool still runs batches, inline. *)
-  Alcotest.(check (array int))
-    "inline after shutdown"
-    [| 0; 2; 4 |]
-    (Pool.map p (fun _ x -> 2 * x) [| 0; 1; 2 |])
 
 let test_pool_default_jobs_clamped () =
   let saved = Pool.default_jobs () in
@@ -692,86 +610,13 @@ let test_pool_default_jobs_clamped () =
   Alcotest.(check int) "set" 6 (Pool.default_jobs ());
   Pool.set_default_jobs saved
 
-let test_pool_with_pool_scoped () =
-  (* The scoped helper: returns the body's value, and its pool is torn
-     down (runs inline afterwards) whether the body returns or raises. *)
-  let escaped = ref None in
-  let v =
-    Pool.with_pool ~jobs:3 (fun p ->
-        escaped := Some p;
-        Array.fold_left ( + ) 0 (Pool.map p (fun _ x -> x) (Array.init 10 Fun.id)))
-  in
-  Alcotest.(check int) "returns the body's value" 45 v;
-  (match !escaped with
-  | Some p ->
-    (* Shut down means inline: batches still run, on this domain. *)
-    Alcotest.(check (array int))
-      "torn down (inline) after exit"
-      [| 0; 2; 4 |]
-      (Pool.map p (fun _ x -> 2 * x) [| 0; 1; 2 |])
-  | None -> Alcotest.fail "body never ran");
-  let raised =
-    match Pool.with_pool ~jobs:2 (fun _ -> failwith "scoped") with
-    | (_ : int) -> false
-    | exception Failure msg -> msg = "scoped"
-  in
-  Alcotest.(check bool) "exception propagates" true raised
-
-let test_pool_with_pool_avoids_shared_slot () =
-  (* Regression for the sweep-isolation audit: a scoped pool must never
-     become (or resize) the process-wide shared pool, and [get ~jobs:1]
-     must hand back the dedicated inline pool without assigning the
-     shared slot — the inline pool is eager and reused, not recreated. *)
-  let shared_before = Pool.get ~jobs:3 in
-  Pool.with_pool ~jobs:5 (fun p ->
-      Alcotest.(check bool) "scoped pool is private" true
-        (p != shared_before));
-  Alcotest.(check bool)
-    "shared slot untouched by with_pool" true
-    (Pool.get ~jobs:2 == shared_before);
-  let i1 = Pool.get ~jobs:1 in
-  let i2 = Pool.get ~jobs:1 in
-  Alcotest.(check bool) "inline pool is the same eager one" true (i1 == i2);
-  Alcotest.(check int) "inline pool is sequential" 1 (Pool.jobs i1);
-  Alcotest.(check bool)
-    "jobs:1 did not leak into the shared slot" true
-    (Pool.get ~jobs:2 == shared_before)
-
-let test_pool_with_default_jobs_scoped () =
-  let saved = Pool.default_jobs () in
-  Pool.set_default_jobs 4;
-  let inner =
-    Pool.with_default_jobs 2 (fun () ->
-        let a = Pool.default_jobs () in
-        let b = Pool.with_default_jobs 1 (fun () -> Pool.default_jobs ()) in
-        let c = Pool.default_jobs () in
-        (a, b, c))
-  in
-  Alcotest.(check (triple int int int)) "nested scoping" (2, 1, 2) inner;
-  Alcotest.(check int) "restored" 4 (Pool.default_jobs ());
-  (match Pool.with_default_jobs 1 (fun () -> failwith "boom") with
-  | () -> Alcotest.fail "expected raise"
-  | exception Failure _ -> ());
-  Alcotest.(check int) "restored after raise" 4 (Pool.default_jobs ());
-  (* The override is domain-local: a domain spawned inside the scope
-     sees the process default, not the caller's pin. *)
-  let seen_elsewhere =
-    Pool.with_default_jobs 2 (fun () ->
-        Domain.join (Domain.spawn (fun () -> Pool.default_jobs ())))
-  in
-  Alcotest.(check int) "override does not cross domains" 4 seen_elsewhere;
-  Pool.set_default_jobs saved
-
 let prop_pool_map_deterministic =
   QCheck.Test.make ~name:"Pool.map equals Array.mapi for any size" ~count:25
     QCheck.(pair (int_range 1 5) (list small_int))
     (fun (jobs, xs) ->
       let input = Array.of_list xs in
       let f i x = (i * 31) + x in
-      let p = Pool.create ~jobs in
-      let out = Pool.map p f input in
-      Pool.shutdown p;
-      out = Array.mapi f input)
+      Pool.map ~jobs f input = Array.mapi f input)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -860,24 +705,10 @@ let tests =
           test_pool_propagates_exception;
         Alcotest.test_case "failure cancels the unclaimed rest" `Quick
           test_pool_cancels_rest_on_failure;
-        Alcotest.test_case "get ~jobs:1 is sequential" `Quick
-          test_pool_get_jobs1_is_sequential;
-        Alcotest.test_case "submit overlaps in-order consumption" `Quick
-          test_pool_submit_overlaps_merge;
-        Alcotest.test_case "balanced chunks" `Quick test_pool_balanced_chunks;
-        qtest prop_pool_balanced_chunks_partition;
         Alcotest.test_case "reusable across batches" `Quick
           test_pool_reusable_after_batch;
-        Alcotest.test_case "shutdown idempotent, then inline" `Quick
-          test_pool_shutdown_idempotent;
         Alcotest.test_case "default jobs clamped" `Quick
           test_pool_default_jobs_clamped;
-        Alcotest.test_case "with_pool scoped teardown" `Quick
-          test_pool_with_pool_scoped;
-        Alcotest.test_case "with_pool never touches the shared slot" `Quick
-          test_pool_with_pool_avoids_shared_slot;
-        Alcotest.test_case "with_default_jobs domain-local scoping" `Quick
-          test_pool_with_default_jobs_scoped;
         qtest prop_pool_map_deterministic;
       ] );
   ]
